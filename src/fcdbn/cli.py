@@ -142,27 +142,23 @@ def cmd_train_kin(cfg):
     return 0
 
 
-def _eval_fold(cfg, model, fold_idx, train_pos, test_pos, image):
-    """Retrain the pair classifier on one fold and score the held-out fold."""
+def _eval_fold(cfg, embeddings, fold_idx, train_pos, test_pos):
+    """Retrain the pair classifier on one fold and score the held-out fold.
+
+    ``embeddings`` maps every image path of the positive pairs to its face
+    code; folds only read it.
+    """
     fold_seed = cfg.seed + fold_idx
     train_neg = gen_negatives(train_pos, seed=fold_seed)
     test_neg = gen_negatives(test_pos, seed=fold_seed + 5000)
 
-    embeddings = {}
-
-    def embed(path):
-        if path not in embeddings:
-            embeddings[path] = encode_face(model, extract_regions(
-                image(path), model.fractions, model.region_size))
-        return embeddings[path]
-
     feats, labels = [], []
     for p in train_pos:
-        ea, eb = embed(p.path_a), embed(p.path_b)
+        ea, eb = embeddings[p.path_a], embeddings[p.path_b]
         feats += [pair_feature(ea, eb), pair_feature(eb, ea)]
         labels += [1.0, 1.0]
     for a, b in train_neg:
-        ea, eb = embed(a), embed(b)
+        ea, eb = embeddings[a], embeddings[b]
         feats += [pair_feature(ea, eb), pair_feature(eb, ea)]
         labels += [0.0, 0.0]
     arch = [len(feats[0])] + list(cfg.classifier_hidden) + [1]
@@ -172,14 +168,14 @@ def _eval_fold(cfg, model, fold_idx, train_pos, test_pos, image):
 
     scores, truths, relations = [], [], []
     for p in test_pos:
-        ea, eb = embed(p.path_a), embed(p.path_b)
+        ea, eb = embeddings[p.path_a], embeddings[p.path_b]
         s = (mlp_predict(clf, pair_feature(ea, eb))
              + mlp_predict(clf, pair_feature(eb, ea))) / 2.0
         scores.append(s)
         truths.append(1)
         relations.append(p.relation)
     for idx, (a, b) in enumerate(test_neg):
-        ea, eb = embed(a), embed(b)
+        ea, eb = embeddings[a], embeddings[b]
         s = (mlp_predict(clf, pair_feature(ea, eb))
              + mlp_predict(clf, pair_feature(eb, ea))) / 2.0
         scores.append(s)
@@ -197,6 +193,14 @@ def cmd_eval_kin(cfg):
     positives = [p for p in pairs if p.label == "kin"]
     plan = make_folds(positives, seed=cfg.seed)
     _, image = _load_pair_images(cfg, pairs)
+    # negatives are drawn from the positives' images, so this covers every
+    # image a fold scores; each is encoded once per run
+    embeddings = {}
+    for p in positives:
+        for path in (p.path_a, p.path_b):
+            if path not in embeddings:
+                embeddings[path] = encode_face(model, extract_regions(
+                    image(path), model.fractions, model.region_size))
 
     jobs = []
     for fold_idx in range(len(plan.folds)):
@@ -209,10 +213,9 @@ def cmd_eval_kin(cfg):
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                lambda j: _eval_fold(cfg, model, j[0], j[1], j[2], image), jobs))
+                lambda j: _eval_fold(cfg, embeddings, *j), jobs))
     else:
-        results = [_eval_fold(cfg, model, j[0], j[1], j[2], image)
-                   for j in jobs]
+        results = [_eval_fold(cfg, embeddings, *j) for j in jobs]
 
     fold_rows, all_scores, all_truths, all_relations = [], [], [], []
     for fold_idx, (scores, truths, relations) in enumerate(results):

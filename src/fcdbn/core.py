@@ -26,22 +26,26 @@ def sigmoid(x):
     return np.minimum(out, _SIGMOID_CEIL)
 
 
-def sigmoid_prime(x):
-    """Derivative of ``sigmoid`` evaluated at x: s(x) * (1 - s(x))."""
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def _check_kernel(image, kernel):
-    if image.ndim != 2 or kernel.ndim != 2:
-        raise ValueError("conv2d_same expects 2-D arrays")
-    kr, kc = kernel.shape
+def _as_stack(image, kernel_shape):
+    """View an (h, w) image or an (N, h, w) stack as (N, h, w); check the kernel."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim not in (2, 3) or len(kernel_shape) != 2:
+        raise ValueError("conv2d_same expects 2-D kernels and 2-D images or "
+                         "(N, h, w) image stacks")
+    kr, kc = kernel_shape
     if kr % 2 == 0 or kc % 2 == 0:
         raise ValueError(f"kernel dims must be odd, got {kr}x{kc}")
-    if kr > image.shape[0] or kc > image.shape[1]:
-        raise ValueError(
-            f"kernel {kr}x{kc} larger than image {image.shape[0]}x{image.shape[1]}"
-        )
+    h, w = image.shape[-2:]
+    if kr > h or kc > w:
+        raise ValueError(f"kernel {kr}x{kc} larger than image {h}x{w}")
+    return image.reshape(-1, h, w), image.ndim == 3
+
+
+def _pad_stack(stack, cp, cq):
+    n, h, w = stack.shape
+    padded = np.zeros((n, h + 2 * cp, w + 2 * cq))
+    padded[:, cp:cp + h, cq:cq + w] = stack
+    return padded
 
 
 def conv2d_same(image, kernel):
@@ -51,41 +55,51 @@ def conv2d_same(image, kernel):
     sum_{p,q} kernel[p, q] * image[r - p + cp, c - q + cq], with entries
     outside the image treated as zero and (cp, cq) the kernel center.
     Output dims equal input dims. Kernel dims must be odd.
+
+    ``image`` may be one (h, w) image or an (N, h, w) stack; each image of
+    a stack is convolved on its own, with the same elementwise arithmetic
+    as a single image, so the result is bit-identical to a per-image loop.
     """
-    image = np.asarray(image, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    _check_kernel(image, kernel)
-    h, w = image.shape
+    stack, batched = _as_stack(image, kernel.shape)
+    n, h, w = stack.shape
     kr, kc = kernel.shape
     cp, cq = kr // 2, kc // 2
-    padded = np.zeros((h + 2 * cp, w + 2 * cq))
-    padded[cp:cp + h, cq:cq + w] = image
-    out = np.zeros((h, w))
+    padded = _pad_stack(stack, cp, cq)
+    out = np.zeros((n, h, w))
     for p in range(kr):
         for q in range(kc):
-            out += kernel[p, q] * padded[2 * cp - p:2 * cp - p + h,
+            out += kernel[p, q] * padded[:, 2 * cp - p:2 * cp - p + h,
                                          2 * cq - q:2 * cq - q + w]
-    return out
+    return out if batched else out[0]
 
 
 def conv2d_same_kernel_grad(image, upstream, kernel_shape):
     """Gradient of sum(upstream * conv2d_same(image, kernel)) w.r.t. kernel.
 
     ``upstream`` has the image's shape; returns an array of kernel_shape.
+    For an (N, h, w) stack the result is the sum of the N per-image
+    gradients: each image's products are summed as one row, then the rows
+    are accumulated in image order from zero. That is the same rounding as
+    a running total over per-image calls, bit for bit.
     """
-    image = np.asarray(image, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    h, w = image.shape
+    stack, batched = _as_stack(image, tuple(kernel_shape))
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(stack.shape)
+    n, h, w = stack.shape
     kr, kc = kernel_shape
     cp, cq = kr // 2, kc // 2
-    padded = np.zeros((h + 2 * cp, w + 2 * cq))
-    padded[cp:cp + h, cq:cq + w] = image
-    grad = np.zeros((kr, kc))
+    padded = _pad_stack(stack, cp, cq)
+    sums = np.empty((kr, kc, n))
     for p in range(kr):
         for q in range(kc):
-            grad[p, q] = np.sum(upstream * padded[2 * cp - p:2 * cp - p + h,
-                                                  2 * cq - q:2 * cq - q + w])
-    return grad
+            prod = upstream * padded[:, 2 * cp - p:2 * cp - p + h,
+                                     2 * cq - q:2 * cq - q + w]
+            sums[p, q] = prod.reshape(n, h * w).sum(axis=1)
+    if not batched:
+        return sums[:, :, 0]
+    # cumsum adds strictly left to right; + 0.0 maps a -0.0 total to the
+    # +0.0 a running total started from zero would give
+    return np.cumsum(sums, axis=2)[:, :, -1] + 0.0
 
 
 def conv2d_same_image_grad(upstream, kernel):

@@ -157,6 +157,11 @@ def _forward_train(model, x, stream, masks=None):
         r = model.dropout_input if layer_idx == 0 else model.dropout_hidden
         if masks is not None:
             m = masks[layer_idx]
+        elif r == 0.0:
+            # Bernoulli(1) draws are all ones: skip them, but advance the
+            # stream as they would, so later layers' masks stay the same
+            m = 1.0
+            stream.counter += y.size
         else:
             m = stream.bernoulli(y.size, 1.0 - r).reshape(y.shape)
         u = y * m / (1.0 - r)

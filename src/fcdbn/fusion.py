@@ -12,14 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream
+from .kvrl import ModelStateError
 
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = np.log(DENSITY_FLOOR)
 VAR_FLOOR = 1e-6
-
-
-class ModelStateError(RuntimeError):
-    """Fusion model used before fitting."""
 
 
 @dataclass

@@ -273,12 +273,20 @@ def train_kvrl(pretrain_corpus, kin_pairs, cfg):
     fractions = model.fractions
     size = model.region_size
 
+    embeddings = {}
+
+    def embed(img):
+        # encode_face is pure, so each distinct image is encoded once
+        img = np.asarray(img)
+        key = (img.dtype.str, img.shape, img.tobytes())
+        if key not in embeddings:
+            embeddings[key] = encode_face(model, extract_regions(
+                img, fractions, size, extras=cfg.extra_regions()))
+        return embeddings[key]
+
     feats, labels = [], []
     for img_a, img_b, label in kin_pairs:
-        ra = extract_regions(img_a, fractions, size, extras=cfg.extra_regions())
-        rb = extract_regions(img_b, fractions, size, extras=cfg.extra_regions())
-        ea = encode_face(model, ra)
-        eb = encode_face(model, rb)
+        ea, eb = embed(img_a), embed(img_b)
         feats.append(pair_feature(ea, eb))
         feats.append(pair_feature(eb, ea))
         labels.extend([label, label])

@@ -215,48 +215,60 @@ def visible_given_hidden(h, layer):
     return out[0] if squeeze else out
 
 
-def filter_responses(image, layer):
-    """Individual filtered images V_k = conv2d_same(image, f_k)."""
+def _check_image(image, layer):
     if layer.n_filters == 0:
         raise ValueError("layer has no filters")
+    if layer.image_shape is None:
+        raise ValueError("filtered layers need image_shape")
     image = np.asarray(image, dtype=np.float64)
-    if layer.image_shape is not None and image.shape != tuple(layer.image_shape):
+    if image.shape != tuple(layer.image_shape):
         raise ValueError(
             f"image shape {image.shape} != layer image_shape {layer.image_shape}"
         )
+    return image
+
+
+def filter_responses(image, layer):
+    """Individual filtered images V_k = conv2d_same(image, f_k)."""
+    image = _check_image(image, layer)
     return [conv2d_same(image, f) for f in layer.filters]
 
 
 def apply_filters(image, layer):
     """Aggregated visible: flatten(sum_k conv2d_same(image, f_k))."""
-    responses = filter_responses(image, layer)
-    total = responses[0]
-    for r in responses[1:]:
-        total = total + r
-    return total.ravel()
+    image = _check_image(image, layer)
+    return _aggregate_rows(image.reshape(1, -1), layer)[0]
 
 
 def _aggregate_rows(X, layer):
-    """Filter-aggregate a batch of flattened images (no-op for K = 0)."""
+    """Filter-aggregate a batch of flattened images (no-op for K = 0).
+
+    One conv2d_same call per filter covers the whole batch, and the K
+    responses are summed in filter order.
+    """
     if layer.n_filters == 0:
         return X
-    h, w = layer.image_shape
-    out = np.empty_like(X)
-    for n in range(X.shape[0]):
-        out[n] = apply_filters(X[n].reshape(h, w), layer)
-    return out
+    stack = X.reshape(X.shape[0], *layer.image_shape)
+    total = conv2d_same(stack, layer.filters[0])
+    for f in layer.filters[1:]:
+        total = total + conv2d_same(stack, f)
+    return total.reshape(X.shape)
 
 
 def _filter_grads_from_dv(X, dV, layer):
-    """Chain batch gradients on the aggregated visible back to each filter."""
-    h, w = layer.image_shape
-    grads = [np.zeros_like(f) for f in layer.filters]
-    for n in range(X.shape[0]):
-        img = X[n].reshape(h, w)
-        g = dV[n].reshape(h, w)
-        for k, f in enumerate(layer.filters):
-            grads[k] += conv2d_same_kernel_grad(img, g, f.shape)
-    return grads
+    """Chain batch gradients on the aggregated visible back to each filter.
+
+    The aggregate is linear in each filter and every filter sees the same
+    input, so all K gradients are equal: it is computed once per kernel
+    shape and each filter gets its own copy.
+    """
+    stack = X.reshape(X.shape[0], *layer.image_shape)
+    upstream = dV.reshape(stack.shape)
+    by_shape = {}
+    for f in layer.filters:
+        if f.shape not in by_shape:
+            by_shape[f.shape] = conv2d_same_kernel_grad(stack, upstream, f.shape)
+    return [by_shape[f.shape].copy() for f in layer.filters]
 
 
 def _contractive_terms(layer, V, activation="sigmoid"):
@@ -395,8 +407,12 @@ def cd_gradients(layer, batch, stream, cd_steps=1):
     reconstruction error).
     """
     X, _ = _as_batch(batch, layer.n_visible, "cd_gradients")
+    return _cd_terms(layer, X, _aggregate_rows(X, layer), stream, cd_steps)
+
+
+def _cd_terms(layer, X, V, stream, cd_steps):
+    """cd_gradients on a batch X whose filter aggregate V is already built."""
     n = X.shape[0]
-    V = _aggregate_rows(X, layer)
     scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
     Vs = V / scale if scale is not None else V
 
@@ -447,12 +463,10 @@ def cd_train(layer, data, cfg):
     for epoch in range(cfg.epochs):
         errs = []
         for batch in batches:
-            like, recon = cd_gradients(out, batch, stream, cfg.cd_steps)
+            V = _aggregate_rows(batch, out)
+            step, recon = _cd_terms(out, batch, V, stream, cfg.cd_steps)
             errs.append(recon)
-            step = {k: like[k].copy() if k != "filters"
-                    else [g.copy() for g in like[k]] for k in like}
             if out.alpha != 0.0:
-                V = _aggregate_rows(batch, out)
                 _, pW, pa, pV = _contractive_terms(out, V)
                 step["W"] -= out.alpha * pW
                 step["a"] -= out.alpha * pa

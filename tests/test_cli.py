@@ -1,6 +1,7 @@
 import json
 import os
 
+import fcdbn.cli
 from fcdbn.cli import run_command
 from fcdbn.storage import load_model, read_manifest
 
@@ -224,3 +225,32 @@ class TestReproducibility:
             trees.append({k: v for k, v in read_bytes_tree(out).items()
                           if k.endswith("csv") and "model" not in k})
         assert trees[0] == trees[1]
+
+    def test_eval_kin_encodes_each_image_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg_path = write_config(
+            tmp_path / "c.json", output_dir=str(out),
+            manifest=str(out / "manifest.csv"),
+            images_dir=str(out / "images"),
+            corpus_dir=str(out / "corpus"),
+            model_in=str(out / "model.json"),
+            families=8, corpus_families=3, epochs=1, classifier_epochs=20,
+        )
+        assert run_command(["synth", "--config", str(cfg_path)]) == 0
+        assert run_command(["train-kin", "--config", str(cfg_path)]) == 0
+        positives = [p for p in read_manifest(out / "manifest.csv")
+                     if p.label == "kin"]
+        paths = {path for p in positives for path in (p.path_a, p.path_b)}
+        faces = []
+        real = fcdbn.cli.encode_face
+
+        def counting(model, regions):
+            faces.append(regions.face.tobytes())
+            return real(model, regions)
+
+        monkeypatch.setattr(fcdbn.cli, "encode_face", counting)
+        for threads in ("1", "2"):
+            faces.clear()
+            monkeypatch.setenv("FCDBN_THREADS", threads)
+            assert run_command(["eval-kin", "--config", str(cfg_path)]) == 0
+            assert len(faces) == len(set(faces)) == len(paths)

@@ -101,6 +101,54 @@ class TestConv2dSame:
                 assert abs(grad[r, c] - fd) < 1e-6
 
 
+class TestConv2dStacks:
+    """(N, h, w) stacks must give exactly what a per-image loop gives."""
+
+    @pytest.mark.parametrize("shape,kernel", [((7, 11), (5, 5)),
+                                              ((9, 6), (3, 3)),
+                                              ((6, 8), (3, 5))])
+    def test_stack_conv_equals_per_image_loop(self, shape, kernel):
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(5,) + shape)
+        ker = rng.normal(size=kernel)
+        out = conv2d_same(stack, ker)
+        assert out.shape == stack.shape
+        for img, got in zip(stack, out):
+            assert np.array_equal(got, conv2d_same(img, ker))
+
+    @pytest.mark.parametrize("shape,kernel", [((7, 11), (5, 5)),
+                                              ((9, 6), (3, 3)),
+                                              ((32, 32), (3, 3))])
+    def test_stack_kernel_grad_equals_running_total(self, shape, kernel):
+        rng = np.random.default_rng(12)
+        # more than 8 images, so a pairwise reduction would round differently
+        stack = rng.normal(size=(20,) + shape)
+        upstream = rng.normal(size=(20,) + shape)
+        total = np.zeros(kernel)
+        for img, up in zip(stack, upstream):
+            total += conv2d_same_kernel_grad(img, up, kernel)
+        got = conv2d_same_kernel_grad(stack, upstream, kernel)
+        assert got.shape == kernel
+        assert np.array_equal(got, total)
+
+    def test_one_image_stack_matches_plain_image(self):
+        rng = np.random.default_rng(13)
+        img = rng.normal(size=(5, 8))
+        up = rng.normal(size=(5, 8))
+        ker = rng.normal(size=(3, 3))
+        assert np.array_equal(conv2d_same(img[None], ker)[0],
+                              conv2d_same(img, ker))
+        assert np.array_equal(conv2d_same_kernel_grad(img[None], up[None], (3, 3)),
+                              conv2d_same_kernel_grad(img, up, (3, 3)))
+
+    @pytest.mark.parametrize("image", [np.zeros(16), np.zeros((2, 2, 4, 4))])
+    def test_1d_and_4d_images_rejected(self, image):
+        with pytest.raises(ValueError):
+            conv2d_same(image, np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            conv2d_same_kernel_grad(image, image, (3, 3))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5

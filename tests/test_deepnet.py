@@ -5,6 +5,7 @@ from fcdbn.core import RngStream, sigmoid
 from fcdbn.deepnet import (
     DbnStack,
     FcOptions,
+    _forward_train,
     dropout_forward,
     encode,
     greedy_pretrain,
@@ -136,6 +137,20 @@ class TestDropoutForward:
             total += dropout_forward(model, x, stream, train=True)
         mc = total / n
         assert np.max(np.abs(mc - clean) / np.abs(clean)) < 0.02
+
+    @pytest.mark.parametrize("r_in,r_h", [(0.0, 0.0), (0.0, 0.5), (0.2, 0.0)])
+    def test_zero_rate_skips_draws_but_advances_stream(self, r_in, r_h):
+        # reference: Bernoulli(1 - r) masks drawn for every layer
+        model = self.small_model(r_in=r_in, r_h=r_h)
+        x = RngStream(seed=14).uniform01(4 * 6).reshape(4, 6)
+        ref_stream = RngStream(seed=15)
+        masks = [ref_stream.bernoulli(4 * 6, 1.0 - r_in).reshape(4, 6),
+                 ref_stream.bernoulli(4 * 5, 1.0 - r_h).reshape(4, 5)]
+        expected, _ = _forward_train(model, x, None, masks=masks)
+        stream = RngStream(seed=15)
+        got, _ = _forward_train(model, x, stream)
+        assert stream.counter == ref_stream.counter == 4 * 6 + 4 * 5
+        assert np.array_equal(got, expected)
 
     def test_degenerate_rate_rejected(self):
         model = self.small_model()

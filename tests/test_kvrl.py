@@ -224,6 +224,25 @@ class TestTrainKvrl:
             labels.append(label)
         assert roc(scores, labels).auc >= 0.8
 
+    def test_each_distinct_image_encoded_once(self, monkeypatch):
+        import fcdbn.kvrl
+        corpus, train_pairs, _ = make_kin_benchmark(
+            seed=11, n_families=6, members_per_family=4, separability=0.9,
+            n_test_pairs=4, corpus_families=3)
+        distinct = {img.tobytes() for a, b, _ in train_pairs for img in (a, b)}
+        assert len(distinct) < 2 * len(train_pairs)  # images recur across pairs
+        faces = []
+        real = fcdbn.kvrl.encode_face
+
+        def counting(model, regions):
+            faces.append(regions.face.tobytes())
+            return real(model, regions)
+
+        monkeypatch.setattr(fcdbn.kvrl, "encode_face", counting)
+        train_kvrl(corpus, train_pairs,
+                   tiny_config(11, epochs=1, classifier_epochs=2))
+        assert len(faces) == len(set(faces)) == len(distinct)
+
     def test_face_only_configuration(self):
         corpus, train_pairs, _ = make_kin_benchmark(
             seed=10, n_families=8, members_per_family=4, separability=0.9,

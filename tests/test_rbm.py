@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from fcdbn.core import RngStream, conv2d_same
+from fcdbn.core import RngStream, conv2d_same, conv2d_same_kernel_grad
 from fcdbn.rbm import (
     BERNOULLI,
     GAUSSIAN,
@@ -456,6 +456,40 @@ class TestFcLoss:
         batch = stream.gaussian(3 * 12).reshape(3, 12)
         _, grads = fc_loss_grads(layer, batch)
         fd_check(lambda l: fc_loss(l, batch), layer, grads)
+
+    def test_filter_grads_match_per_image_reference(self):
+        # reference: per-image, per-filter loops with running totals
+        stream = RngStream(seed=56)
+        layer = filtered_layer(stream, shape=(6, 7), f=4, k=3,
+                               alpha=0.1, beta=0.01)
+        layer.filters = [stream.gaussian(25, sigma=0.3).reshape(5, 5)
+                         for _ in range(3)]
+        batch = stream.gaussian(12 * 42).reshape(12, 42)
+        _, grads = fc_loss_grads(layer, batch)
+
+        from fcdbn.rbm import _contractive_terms, _reconstruction_terms
+        V = np.empty_like(batch)
+        for n, row in enumerate(batch):
+            img = row.reshape(6, 7)
+            total = conv2d_same(img, layer.filters[0])
+            for f in layer.filters[1:]:
+                total = total + conv2d_same(img, f)
+            V[n] = total.ravel()
+        dV = _reconstruction_terms(layer, V)[4] + 0.1 * _contractive_terms(layer, V)[3]
+        shared = np.zeros((5, 5))
+        for x, g in zip(batch, dV):
+            shared += conv2d_same_kernel_grad(x.reshape(6, 7), g.reshape(6, 7),
+                                              (5, 5))
+        assert len(grads["filters"]) == 3
+        for f, got in zip(layer.filters, grads["filters"]):
+            assert np.array_equal(got, shared + 2.0 * 0.01 * f)
+
+        layer.beta = 0.0
+        _, grads = fc_loss_grads(layer, batch)
+        for got in grads["filters"]:
+            assert np.array_equal(got, shared)
+        grads["filters"][0][0, 0] += 1.0  # each filter owns its gradient
+        assert np.array_equal(grads["filters"][1], shared)
 
     def test_gradients_plain_bernoulli(self):
         stream = RngStream(seed=55)
