@@ -1,14 +1,20 @@
 """File formats: binary PGM images, JSON model documents, manifest CSVs.
 
-Everything is written atomically (temp file + rename) so failed commands
-never leave partial artifacts behind. Model weights are serialized as
-decimal strings that round-trip float64 exactly.
+Everything is written atomically (a uniquely named temp file in the
+target's directory, then a rename) so failed commands never leave partial
+artifacts behind. A model document is JSON; each weight array in it is an
+object ``{"shape": [...], "f8": <base64 of little-endian float64>}``, which
+round-trips exactly. Version 1 documents, which hold arrays as nested lists
+of decimal numbers, still load.
 """
 from __future__ import annotations
 
+import base64
 import csv
 import json
+import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +25,7 @@ from .kvrl import KvrlModel, RegionFractions
 from .rbm import RbmLayer
 
 MODEL_FORMAT = "fcdbn-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 RELATIONS = ("FS", "FD", "MS", "MD", "BB", "BS", "SS")
 MANIFEST_COLUMNS = ("path_a", "path_b", "label", "relation",
                     "subject_a", "subject_b")
@@ -30,14 +36,39 @@ class PgmParseError(ValueError):
 
 
 class ModelFormatError(ValueError):
-    """Model document fails version or dimension checks."""
+    """Model document fails version, schema or dimension checks."""
+
+
+def _umask():
+    mask = os.umask(0o077)  # os has no read-only query; restored at once
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates files readable by the owner only; written artifacts keep
+# the mode a plain open() would give them.
+_FILE_MODE = 0o666 & ~_umask()
 
 
 def atomic_write_bytes(path, payload):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    """Write payload to a fresh temp file beside path, then rename it over path.
+
+    Concurrent writers never share a temp file, and a failed write removes
+    its temp file and leaves path as it was.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)
+            fh.write(payload)
+        os.replace(tmp, path)
+        tmp = None
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
 
 
 def atomic_write_text(path, text):
@@ -113,7 +144,34 @@ def save_pgm(path, image):
 # --- model persistence ------------------------------------------------------
 
 def _arr(a):
-    return np.asarray(a, dtype=np.float64).tolist()
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _from_arr(x):
+    """Decode an array saved by ``_arr``, or a version-1 nested list."""
+    if isinstance(x, list):
+        return np.array(x, dtype=np.float64)
+    if not isinstance(x, dict):
+        raise ModelFormatError(f"array must be an object, got {type(x).__name__}")
+    shape, f8 = x.get("shape"), x.get("f8")
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ModelFormatError(f"array shape must be non-negative ints: {shape!r}")
+    if not isinstance(f8, str):
+        raise ModelFormatError("array is missing its base64 f8 data")
+    try:
+        raw = base64.b64decode(f8, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ModelFormatError(f"array f8 is not base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelFormatError(
+            f"array f8 holds {len(raw)} bytes, shape {shape} needs "
+            f"{8 * math.prod(shape)}")
+    # bytearray gives a writable buffer, so loaded weights can be edited.
+    return np.frombuffer(bytearray(raw), dtype="<f8").reshape(shape).astype(
+        np.float64, copy=False)
 
 
 def _layer_doc(layer):
@@ -133,13 +191,12 @@ def _layer_doc(layer):
 
 def _layer_from_doc(doc):
     layer = RbmLayer(
-        W=np.array(doc["W"], dtype=np.float64),
-        a=np.array(doc["a"], dtype=np.float64),
-        b=np.array(doc["b"], dtype=np.float64),
+        W=_from_arr(doc["W"]),
+        a=_from_arr(doc["a"]),
+        b=_from_arr(doc["b"]),
         unit_kind=doc["unit_kind"],
-        sigma=None if doc["sigma"] is None
-        else np.array(doc["sigma"], dtype=np.float64),
-        filters=[np.array(f, dtype=np.float64) for f in doc["filters"]],
+        sigma=None if doc["sigma"] is None else _from_arr(doc["sigma"]),
+        filters=[_from_arr(f) for f in doc["filters"]],
         alpha=float(doc["alpha"]),
         beta=float(doc["beta"]),
         image_shape=None if doc["image_shape"] is None
@@ -181,8 +238,8 @@ def _mlp_doc(mlp):
 
 def _mlp_from_doc(doc):
     mlp = MlpModel(
-        weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
+        weights=[_from_arr(w) for w in doc["weights"]],
+        biases=[_from_arr(b) for b in doc["biases"]],
         dropout_input=float(doc["dropout_input"]),
         dropout_hidden=float(doc["dropout_hidden"]),
     )
@@ -200,9 +257,9 @@ def _gmm_doc(g):
 
 
 def _gmm_from_doc(doc):
-    g = GaussianMixture(weights=np.array(doc["weights"], dtype=np.float64),
-                        means=np.array(doc["means"], dtype=np.float64),
-                        variances=np.array(doc["variances"], dtype=np.float64))
+    g = GaussianMixture(weights=_from_arr(doc["weights"]),
+                        means=_from_arr(doc["means"]),
+                        variances=_from_arr(doc["variances"]))
     if not (g.weights.shape == g.means.shape == g.variances.shape):
         raise ModelFormatError("mixture component arrays differ in length")
     return g
@@ -247,16 +304,31 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Reconstruct a saved model; fails closed on any inconsistency."""
+    """Reconstruct a saved model; fails closed on any inconsistency.
+
+    Every defect in the document, including a missing key or a value of the
+    wrong type, raises ``ModelFormatError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not a model document: {exc}") from exc
+    try:
+        return _model_from_doc(doc)
+    except ModelFormatError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise ModelFormatError(
+            f"malformed model document: {type(exc).__name__}: {exc}") from exc
+
+
+def _model_from_doc(doc):
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("missing fcdbn-model format tag")
-    if doc.get("version") != MODEL_VERSION:
+    if doc.get("version") not in (1, MODEL_VERSION):
         raise ModelFormatError(f"unsupported model version {doc.get('version')}")
     kind = doc.get("kind")
     payload = doc.get("payload", {})
@@ -288,10 +360,10 @@ def load_model(path):
                          k_kin=_gmm_from_doc(payload["k_kin"]),
                          k_nonkin=_gmm_from_doc(payload["k_nonkin"]))
     if kind == "svm":
-        return SvmModel(w=np.array(payload["w"], dtype=np.float64),
+        return SvmModel(w=_from_arr(payload["w"]),
                         b=float(payload["b"]),
-                        feat_mean=np.array(payload["feat_mean"], dtype=np.float64),
-                        feat_std=np.array(payload["feat_std"], dtype=np.float64),
+                        feat_mean=_from_arr(payload["feat_mean"]),
+                        feat_std=_from_arr(payload["feat_std"]),
                         degenerate=bool(payload["degenerate"]),
                         majority=int(payload["majority"]),
                         margin=float(payload["margin"]))

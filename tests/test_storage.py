@@ -1,16 +1,32 @@
+import base64
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcdbn import storage
 from fcdbn.config import RunConfig
 from fcdbn.core import RngStream
+from fcdbn.deepnet import DbnStack, MlpModel
 from fcdbn.fusion import ScoreRecord, fit_fusion, synth_score_records
-from fcdbn.kvrl import encode_face, extract_regions, pretrain_stages
+from fcdbn.kvrl import (
+    DEFAULT_REGIONS,
+    KvrlModel,
+    encode_face,
+    extract_regions,
+    pretrain_stages,
+)
+from fcdbn.rbm import GAUSSIAN, RbmLayer
 from fcdbn.storage import (
     KinPair,
     ModelFormatError,
     PgmParseError,
+    atomic_write_bytes,
     load_model,
     load_pgm,
     read_manifest,
@@ -143,6 +159,304 @@ class TestModelPersistence:
                                     "kind": "mystery", "payload": {}}))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+def hand_model(n_filters=2, gaussian=True, seed=0):
+    """A tiny KVRL model built directly: 4x4 regions, 3 hidden units each."""
+    rng = np.random.default_rng(seed)
+
+    def layer(d, f, **kw):
+        return RbmLayer(W=rng.normal(size=(d, f)), a=rng.normal(size=f),
+                        b=rng.normal(size=d), **kw)
+
+    def first_layer():
+        kw = dict(filters=[rng.normal(size=(3, 3)) for _ in range(n_filters)],
+                  alpha=0.05, beta=1e-4, image_shape=(4, 4))
+        if gaussian:
+            kw.update(unit_kind=GAUSSIAN, sigma=rng.uniform(0.5, 2.0, size=16))
+        return layer(16, 3, **kw)
+
+    return KvrlModel(
+        stage1={name: DbnStack([first_layer()]) for name in DEFAULT_REGIONS},
+        stage2=DbnStack([layer(9, 4), layer(4, 2)]),
+        classifier=MlpModel(weights=[rng.normal(size=(4, 3)),
+                                     rng.normal(size=(3, 1))],
+                            biases=[rng.normal(size=3), rng.normal(size=1)]),
+    )
+
+
+def model_arrays(model):
+    """Every weight array of a KVRL model, by name."""
+    out = {}
+    stacks = {f"stage1.{name}": s for name, s in model.stage1.items()}
+    stacks["stage2"] = model.stage2
+    for sname, stack in stacks.items():
+        for i, layer in enumerate(stack.layers):
+            key = f"{sname}.{i}"
+            out.update({f"{key}.W": layer.W, f"{key}.a": layer.a,
+                        f"{key}.b": layer.b})
+            if layer.sigma is not None:
+                out[f"{key}.sigma"] = layer.sigma
+            for k, f in enumerate(layer.filters):
+                out[f"{key}.filter{k}"] = f
+    for i, (w, b) in enumerate(zip(model.classifier.weights,
+                                   model.classifier.biases)):
+        out.update({f"classifier.{i}.w": w, f"classifier.{i}.b": b})
+    return out
+
+
+def assert_bit_equal(model, loaded):
+    want, got = model_arrays(model), model_arrays(loaded)
+    assert want.keys() == got.keys()
+    for name, w in want.items():
+        g = got[name]
+        assert g.shape == w.shape, name
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), name
+
+
+def to_v1(node):
+    """Rewrite a saved document into version 1: arrays as nested lists."""
+    if isinstance(node, dict):
+        if node.keys() == {"shape", "f8"}:
+            raw = base64.b64decode(node["f8"])
+            return np.frombuffer(raw, "<f8").reshape(node["shape"]).tolist()
+        return {k: to_v1(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [to_v1(v) for v in node]
+    return node
+
+
+def saved_doc(model, path):
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+def write_doc(doc, path):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 5e-324)
+
+
+class TestModelFormat:
+    @pytest.mark.parametrize("n_filters,gaussian", [(0, False), (2, True)])
+    def test_special_values_round_trip_bit_exact(self, tmp_path, n_filters,
+                                                 gaussian):
+        model = hand_model(n_filters=n_filters, gaussian=gaussian)
+        model.stage1["face"].layers[0].W[0, :3] = SPECIAL_VALUES[:3]
+        model.stage1["face"].layers[0].W[1, :2] = SPECIAL_VALUES[3:]
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert_bit_equal(model, loaded)
+        assert (loaded.stage1["face"].layers[0].sigma is None) != gaussian
+        assert loaded.stage1["face"].layers[0].n_filters == n_filters
+
+    def test_saves_version_2_with_base64_arrays(self, tmp_path):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        assert doc["version"] == 2
+        w = doc["payload"]["stage2"]["layers"][0]["W"]
+        assert w["shape"] == [9, 4]
+        assert len(base64.b64decode(w["f8"], validate=True)) == 9 * 4 * 8
+
+    def test_version_1_document_loads_to_equal_arrays(self, tmp_path):
+        model = hand_model()
+        model.stage2.layers[0].W[:, 0][:5] = SPECIAL_VALUES
+        v2 = tmp_path / "v2.json"
+        doc = to_v1(saved_doc(model, v2))
+        doc["version"] = 1
+        assert isinstance(doc["payload"]["stage2"]["layers"][0]["W"], list)
+        loaded = load_model(write_doc(doc, tmp_path / "v1.json"))
+        assert_bit_equal(model, loaded)
+        resaved = tmp_path / "resaved.json"
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == v2.read_bytes()
+
+    def test_fusion_models_load_from_version_1(self, tmp_path):
+        fused = fit_fusion(synth_score_records(1, 100, 100), n_components=2,
+                           seed=1)
+        for model in (fused.plr, fused.svm):
+            v2 = tmp_path / "v2.json"
+            doc = to_v1(saved_doc(model, v2))
+            doc["version"] = 1
+            resaved = tmp_path / "resaved.json"
+            save_model(load_model(write_doc(doc, tmp_path / "v1.json")),
+                       resaved)
+            assert resaved.read_bytes() == v2.read_bytes()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda w: w.update(f8="!!" + w["f8"][2:]),
+        lambda w: w.update(f8=w["f8"][:-4]),
+        lambda w: w.update(f8=base64.b64encode(
+            base64.b64decode(w["f8"])[:-8]).decode()),
+        lambda w: w.update(shape=[-9, -4]),
+        lambda w: w.update(shape=[9.0, 4]),
+        lambda w: w.update(shape=["9", 4]),
+        lambda w: w.update(shape=[True, 36]),
+        lambda w: w.update(shape=36),
+        lambda w: w.pop("f8"),
+        lambda w: w.pop("shape"),
+        lambda w: w.update(f8=None),
+        lambda w: w.clear(),
+    ], ids=["bad-base64", "cut-padding", "short-f8", "negative-shape",
+            "float-shape", "string-shape", "bool-shape", "scalar-shape",
+            "missing-f8", "missing-shape", "null-f8", "empty-object"])
+    def test_malformed_array_rejected(self, tmp_path, mutate):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        mutate(doc["payload"]["stage2"]["layers"][0]["W"])
+        with pytest.raises(ModelFormatError):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+    @pytest.mark.parametrize("value", ["W", 1.5, None])
+    def test_array_of_wrong_type_rejected(self, tmp_path, value):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        doc["payload"]["stage2"]["layers"][0]["W"] = value
+        with pytest.raises(ModelFormatError):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+    def test_loaded_arrays_are_writable_float64(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(hand_model(), path)
+        for name, a in model_arrays(load_model(path)).items():
+            assert a.dtype == np.float64 and a.flags.writeable, name
+
+    def test_same_model_saves_identical_bytes(self, tmp_path):
+        model = hand_model()
+        save_model(model, tmp_path / "a.json")
+        save_model(model, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == \
+            (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_missing_stage2_fails_closed(self, tmp_path, version):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        if version == 1:
+            doc = to_v1(doc)
+        doc["version"] = version
+        del doc["payload"]["stage2"]
+        with pytest.raises(ModelFormatError, match="stage2"):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+    def test_payload_list_fails_closed(self, tmp_path):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        doc["payload"] = [1, 2]
+        with pytest.raises(ModelFormatError):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+
+def _doc_paths(node, prefix=()):
+    """Every key / index path into a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _doc_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs(tmp_path_factory):
+    """Saved tiny KVRL, PLR and SVM documents, as JSON text."""
+    fused = fit_fusion(synth_score_records(1, 60, 60), n_components=2, seed=1)
+    path = tmp_path_factory.mktemp("docs") / "m.json"
+    docs = []
+    for model in (hand_model(), fused.plr, fused.svm):
+        save_model(model, path)
+        docs.append(path.read_text())
+    return docs
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutation_loads_or_fails_closed(self, fuzz_docs, tmp_path_factory,
+                                            data):
+        doc = json.loads(data.draw(st.sampled_from(fuzz_docs)))
+        path = data.draw(st.sampled_from(list(_doc_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+        target = tmp_path_factory.getbasetemp() / "fuzz.json"
+        target.write_text(json.dumps(doc))
+        try:
+            load_model(target)
+        except ModelFormatError:
+            pass
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_old_file_and_no_temp(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(storage.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_written_file_gets_the_default_mode(self, tmp_path):
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"x")
+        atomic_write_bytes(tmp_path / "atomic.bin", b"x")
+        assert (os.stat(tmp_path / "atomic.bin").st_mode
+                == os.stat(plain).st_mode)
+
+    def test_concurrent_saves_to_one_path_both_succeed(self, tmp_path):
+        path = tmp_path / "model.json"
+        models = [hand_model(seed=1), hand_model(seed=2)]
+        expected = []
+        for i, model in enumerate(models):
+            save_model(model, tmp_path / f"ref{i}.json")
+            expected.append((tmp_path / f"ref{i}.json").read_bytes())
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def writer(model):
+            try:
+                for _ in range(30):
+                    barrier.wait(timeout=10)
+                    save_model(model, path)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(m,))
+                       for m in models]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in expected
+        assert sorted(os.listdir(tmp_path)) == ["model.json", "ref0.json",
+                                                "ref1.json"]
 
 
 class TestManifest:
