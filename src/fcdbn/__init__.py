@@ -13,7 +13,6 @@ from .deepnet import (
     mlp_predict,
     mlp_train,
 )
-from .descriptors import DescriptorVec, hog_descriptor, lbp_descriptor, match_score
 from .evaluation import (
     ConfusionCounts,
     FoldPlan,
@@ -46,10 +45,12 @@ from .kvrl import (
     RegionFractions,
     RegionSet,
     encode_face,
+    encode_images,
     extract_regions,
     kin_score,
-    pair_feature,
+    pair_features,
     pretrain_stages,
+    score_pairs,
     train_kvrl,
 )
 from .rbm import (

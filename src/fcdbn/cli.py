@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 validation / usage error, 3 runtime error. Every
 artifact is written atomically, so error paths leave nothing partial. With
 the same config and seed every command produces byte-identical outputs;
 FCDBN_THREADS > 1 parallelizes fold evaluation without changing results
-(fold seeds are fixed as seed + fold index).
+(fold seeds are fixed as seed + fold index); a value that is not an integer
+>= 1 is a usage error.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .deepnet import mlp_predict
 from .evaluation import (
     ConfusionCounts,
     dprime,
@@ -35,10 +35,10 @@ from .fusion import (
     synth_score_records,
 )
 from .kvrl import (
-    encode_face,
-    extract_regions,
-    pair_feature,
+    encode_images,
+    pair_features,
     pretrain_stages,
+    score_pairs,
     train_kvrl,
     train_pair_classifier,
 )
@@ -152,39 +152,41 @@ def _eval_fold(cfg, embeddings, fold_idx, train_pos, test_pos):
     train_neg = gen_negatives(train_pos, seed=fold_seed)
     test_neg = gen_negatives(test_pos, seed=fold_seed + 5000)
 
-    feats, labels = [], []
-    for p in train_pos:
-        ea, eb = embeddings[p.path_a], embeddings[p.path_b]
-        feats += [pair_feature(ea, eb), pair_feature(eb, ea)]
-        labels += [1.0, 1.0]
-    for a, b in train_neg:
-        ea, eb = embeddings[a], embeddings[b]
-        feats += [pair_feature(ea, eb), pair_feature(eb, ea)]
-        labels += [0.0, 0.0]
-    arch = [len(feats[0])] + list(cfg.classifier_hidden) + [1]
+    train_pairs = [(p.path_a, p.path_b) for p in train_pos] + train_neg
+    feats = pair_features([embeddings[a] for a, _ in train_pairs],
+                          [embeddings[b] for _, b in train_pairs])
+    labels = np.repeat([1.0] * len(train_pos) + [0.0] * len(train_neg), 2)
+    arch = [feats.shape[1]] + list(cfg.classifier_hidden) + [1]
     fold_cfg = replace(cfg, seed=cfg.seed + fold_idx)
-    clf = train_pair_classifier(np.stack(feats), np.array(labels), arch,
-                                fold_cfg)
+    clf = train_pair_classifier(feats, labels, arch, fold_cfg)
 
-    scores, truths, relations = [], [], []
-    for p in test_pos:
-        ea, eb = embeddings[p.path_a], embeddings[p.path_b]
-        s = (mlp_predict(clf, pair_feature(ea, eb))
-             + mlp_predict(clf, pair_feature(eb, ea))) / 2.0
-        scores.append(s)
-        truths.append(1)
-        relations.append(p.relation)
-    for idx, (a, b) in enumerate(test_neg):
-        ea, eb = embeddings[a], embeddings[b]
-        s = (mlp_predict(clf, pair_feature(ea, eb))
-             + mlp_predict(clf, pair_feature(eb, ea))) / 2.0
-        scores.append(s)
-        truths.append(0)
-        relations.append(test_pos[idx % len(test_pos)].relation)
+    test_pairs = [(p.path_a, p.path_b) for p in test_pos] + test_neg
+    scores = score_pairs(clf, [embeddings[a] for a, _ in test_pairs],
+                         [embeddings[b] for _, b in test_pairs]).tolist()
+    truths = [1] * len(test_pos) + [0] * len(test_neg)
+    relations = ([p.relation for p in test_pos]
+                 + [test_pos[idx % len(test_pos)].relation
+                    for idx in range(len(test_neg))])
     return scores, truths, relations
 
 
+def _thread_count():
+    """FCDBN_THREADS as a worker count: unset or empty means 1."""
+    raw = os.environ.get("FCDBN_THREADS", "")
+    if not raw:
+        return 1
+    msg = f"FCDBN_THREADS must be an integer >= 1, got {raw!r}"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise CliError(msg, 2) from None
+    if workers < 1:
+        raise CliError(msg, 2)
+    return workers
+
+
 def cmd_eval_kin(cfg):
+    workers = _thread_count()
     out = _ensure_outdir(cfg)
     if not cfg.manifest or not cfg.images_dir or not cfg.model_in:
         raise CliError("config needs manifest, images_dir, model_in", 2)
@@ -195,12 +197,10 @@ def cmd_eval_kin(cfg):
     _, image = _load_pair_images(cfg, pairs)
     # negatives are drawn from the positives' images, so this covers every
     # image a fold scores; each is encoded once per run
-    embeddings = {}
-    for p in positives:
-        for path in (p.path_a, p.path_b):
-            if path not in embeddings:
-                embeddings[path] = encode_face(model, extract_regions(
-                    image(path), model.fractions, model.region_size))
+    paths = list(dict.fromkeys(path for p in positives
+                               for path in (p.path_a, p.path_b)))
+    codes = encode_images(model, [image(path) for path in paths])
+    embeddings = dict(zip(paths, codes))
 
     jobs = []
     for fold_idx in range(len(plan.folds)):
@@ -209,7 +209,6 @@ def cmd_eval_kin(cfg):
                      for p in fold]
         jobs.append((fold_idx, train_pos, test_pos))
 
-    workers = int(os.environ.get("FCDBN_THREADS", "1") or "1")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
@@ -252,9 +251,7 @@ def cmd_encode(cfg):
     if not cfg.model_in or not cfg.image:
         raise CliError("config needs model_in and image", 2)
     model = load_model(cfg.model_in)
-    img = load_pgm(cfg.image)
-    code = encode_face(model, extract_regions(img, model.fractions,
-                                              model.region_size))
+    code = encode_images(model, [load_pgm(cfg.image)])[0]
     path = os.path.join(out, "encoding.csv")
     _write_csv(path, tuple(f"f{i}" for i in range(len(code))), [tuple(code)])
     print(f"encode: wrote {len(code)}-dim encoding -> {path}")

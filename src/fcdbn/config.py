@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .kvrl import DEFAULT_REGIONS, RegionFractions
+from .kvrl import DEFAULT_REGIONS, EXTRA_REGIONS, RegionFractions
 from .rbm import TrainConfig
 
 
@@ -73,7 +73,7 @@ class RunConfig:
     counts_csv: str = ""
     image: str = ""
 
-    _KNOWN_REGIONS = ("face", "t_region", "not_t", "binocular", "chin")
+    _KNOWN_REGIONS = DEFAULT_REGIONS + EXTRA_REGIONS
 
     def validate(self):
         if self.learning_rate <= 0 or self.classifier_learning_rate <= 0:
@@ -125,9 +125,6 @@ class RunConfig:
                                nose_rows=tuple(self.nose_rows),
                                nose_cols=tuple(self.nose_cols),
                                chin_rows=tuple(self.chin_rows))
-
-    def extra_regions(self):
-        return tuple(n for n in self.regions if n in ("binocular", "chin"))
 
     def rbm_config(self, seed_offset=0):
         return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,

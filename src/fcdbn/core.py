@@ -102,12 +102,6 @@ def conv2d_same_kernel_grad(image, upstream, kernel_shape):
     return np.cumsum(sums, axis=2)[:, :, -1] + 0.0
 
 
-def conv2d_same_image_grad(upstream, kernel):
-    """Gradient of sum(upstream * conv2d_same(image, kernel)) w.r.t. image."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    return conv2d_same(upstream, kernel[::-1, ::-1])
-
-
 # --- counter-based random stream -------------------------------------------
 #
 # Draw i is a pure function of (seed, counter + i): the 64-bit state

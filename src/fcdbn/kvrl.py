@@ -5,6 +5,11 @@ eye+nose band (T), and the face with that band blanked out (not-T). Each
 crop gets its own pretrained stack; their codes are concatenated and fused
 by a second-stage stack, and a small classifier scores pairs of fused codes
 as kin / non-kin. Scoring is symmetrized so argument order never matters.
+
+Every image-to-code step goes through ``encode_images`` (regions cut with
+the model's own geometry and extras), every pair feature through
+``pair_features`` and every pair score through ``score_pairs``; training,
+``kin_score`` and the CLI are callers of these three.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ class ModelStateError(RuntimeError):
 
 
 DEFAULT_REGIONS = ("face", "t_region", "not_t")
+EXTRA_REGIONS = ("binocular", "chin")
 _STD_FLOOR = 1e-8
 
 
@@ -54,7 +60,7 @@ class RegionSet:
     extras: dict = field(default_factory=dict)
 
     def get(self, name):
-        if name in ("face", "t_region", "not_t"):
+        if name in DEFAULT_REGIONS:
             return getattr(self, name)
         if name in self.extras:
             return self.extras[name]
@@ -189,14 +195,46 @@ def encode_face(model, regions):
     return encode(model.stage2, np.concatenate(parts))
 
 
-def pair_feature(fa, fb):
-    """Concatenation fa || fb for the pair classifier."""
-    fa = np.asarray(fa, dtype=np.float64)
-    fb = np.asarray(fb, dtype=np.float64)
-    if fa.ndim != 1 or fa.shape != fb.shape:
-        raise ValueError(f"pair halves must be equal-length vectors, "
-                         f"got {fa.shape} and {fb.shape}")
-    return np.concatenate([fa, fb])
+def _extras(regions):
+    """The extra crops (beyond the default three) that ``regions`` names."""
+    return tuple(name for name in regions if name in EXTRA_REGIONS)
+
+
+def encode_images(model, images):
+    """Codes for aligned 64x64 faces, one row per image: shape (N, d).
+
+    Regions are cut with the model's own fractions, size and extras. Each
+    row is ``encode_face`` of one image; batching the stacks through one
+    GEMM changes the rounding of codes and trained weights, so it is left
+    to a change that owns that drift.
+    """
+    extras = _extras(model.regions)
+    return np.stack([encode_face(model, extract_regions(
+        img, model.fractions, model.region_size, extras=extras))
+        for img in images])
+
+
+def pair_features(codes_a, codes_b):
+    """Classifier rows a||b and b||a for each pair: shape (2N, 2d).
+
+    Rows are interleaved per pair (pair i gives rows 2i and 2i + 1), so the
+    classifier sees every labeled pair in both orders.
+    """
+    codes_a = np.asarray(codes_a, dtype=np.float64)
+    codes_b = np.asarray(codes_b, dtype=np.float64)
+    if codes_a.ndim != 2 or codes_a.shape != codes_b.shape:
+        raise ValueError(f"pair halves must be equal-shape (N, d) arrays, "
+                         f"got {codes_a.shape} and {codes_b.shape}")
+    ab = np.hstack([codes_a, codes_b])
+    ba = np.hstack([codes_b, codes_a])
+    return np.stack([ab, ba], axis=1).reshape(-1, ab.shape[1])
+
+
+def score_pairs(classifier, codes_a, codes_b):
+    """Symmetrized kin probability per pair: (p(a||b) + p(b||a)) / 2, (N,)."""
+    feats = pair_features(codes_a, codes_b)
+    return (mlp_predict(classifier, feats[0::2])
+            + mlp_predict(classifier, feats[1::2])) / 2.0
 
 
 def kin_score(model, a, b):
@@ -205,9 +243,7 @@ def kin_score(model, a, b):
         raise ModelStateError("kin_score needs a trained classifier")
     ea = encode_face(model, a)
     eb = encode_face(model, b)
-    s_ab = mlp_predict(model.classifier, pair_feature(ea, eb))
-    s_ba = mlp_predict(model.classifier, pair_feature(eb, ea))
-    return (s_ab + s_ba) / 2.0
+    return float(score_pairs(model.classifier, ea[None], eb[None])[0])
 
 
 def pretrain_stages(pretrain_corpus, cfg):
@@ -223,7 +259,7 @@ def pretrain_stages(pretrain_corpus, cfg):
     fractions = cfg.region_fractions()
     size = cfg.region_size
     corpus_regions = [extract_regions(img, fractions, size,
-                                      extras=cfg.extra_regions())
+                                      extras=_extras(cfg.regions))
                       for img in pretrain_corpus]
 
     fc = FcOptions(n_filters=cfg.n_filters, filter_size=cfg.filter_size,
@@ -270,28 +306,21 @@ def train_kvrl(pretrain_corpus, kin_pairs, cfg):
     if len(kin_pairs) == 0:
         raise ValueError("empty kin pair list")
     model = pretrain_stages(pretrain_corpus, cfg)
-    fractions = model.fractions
-    size = model.region_size
 
-    embeddings = {}
-
-    def embed(img):
-        # encode_face is pure, so each distinct image is encoded once
-        img = np.asarray(img)
-        key = (img.dtype.str, img.shape, img.tobytes())
-        if key not in embeddings:
-            embeddings[key] = encode_face(model, extract_regions(
-                img, fractions, size, extras=cfg.extra_regions()))
-        return embeddings[key]
-
-    feats, labels = [], []
-    for img_a, img_b, label in kin_pairs:
-        ea, eb = embed(img_a), embed(img_b)
-        feats.append(pair_feature(ea, eb))
-        feats.append(pair_feature(eb, ea))
-        labels.extend([label, label])
-    feats = np.stack(feats)
-    labels = np.asarray(labels, dtype=np.float64)
+    # encode_face is pure, so each distinct image is encoded once
+    index, distinct, rows_a, rows_b = {}, [], [], []
+    for img_a, img_b, _ in kin_pairs:
+        for img, rows in ((img_a, rows_a), (img_b, rows_b)):
+            img = np.asarray(img)
+            key = (img.dtype.str, img.shape, img.tobytes())
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(img)
+            rows.append(index[key])
+    codes = encode_images(model, distinct)
+    feats = pair_features(codes[rows_a], codes[rows_b])
+    labels = np.repeat(np.asarray([label for _, _, label in kin_pairs],
+                                  dtype=np.float64), 2)
     arch = [feats.shape[1]] + list(cfg.classifier_hidden) + [1]
     if cfg.classifier_epochs > 0:
         classifier = train_pair_classifier(feats, labels, arch, cfg)

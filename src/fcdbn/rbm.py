@@ -228,12 +228,6 @@ def _check_image(image, layer):
     return image
 
 
-def filter_responses(image, layer):
-    """Individual filtered images V_k = conv2d_same(image, f_k)."""
-    image = _check_image(image, layer)
-    return [conv2d_same(image, f) for f in layer.filters]
-
-
 def apply_filters(image, layer):
     """Aggregated visible: flatten(sum_k conv2d_same(image, f_k))."""
     image = _check_image(image, layer)

@@ -1,9 +1,12 @@
 import json
 import os
 
-import fcdbn.cli
+import numpy as np
+
+import fcdbn.kvrl
 from fcdbn.cli import run_command
-from fcdbn.storage import load_model, read_manifest
+from fcdbn.kvrl import encode_face, extract_regions
+from fcdbn.storage import load_model, load_pgm, read_manifest
 
 
 def write_config(path, **overrides):
@@ -144,6 +147,34 @@ class TestEndToEnd:
         assert len(rows) == 2
         assert len(rows[1].split(",")) == 8
 
+    def test_extra_regions_train_eval_encode(self, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = write_config(
+            tmp_path / "c.json", output_dir=str(out),
+            manifest=str(out / "manifest.csv"),
+            images_dir=str(out / "images"),
+            corpus_dir=str(out / "corpus"),
+            model_in=str(out / "model.json"),
+            regions=["face", "t_region", "not_t", "chin", "binocular"],
+            stage2_dims=[40, 12, 8],
+            families=8, corpus_families=3, epochs=1, classifier_epochs=20,
+        )
+        assert run_command(["synth", "--config", str(cfg_path)]) == 0
+        assert run_command(["train-kin", "--config", str(cfg_path)]) == 0
+        assert run_command(["eval-kin", "--config", str(cfg_path)]) == 0
+        image = sorted((out / "images").glob("*.pgm"))[0]
+        cfg2 = write_config(
+            tmp_path / "c2.json", output_dir=str(out),
+            model_in=str(out / "model.json"), image=str(image),
+        )
+        assert run_command(["encode", "--config", str(cfg2)]) == 0
+        model = load_model(out / "model.json")
+        expected = encode_face(model, extract_regions(
+            load_pgm(image), model.fractions, model.region_size,
+            extras=("chin", "binocular")))
+        row = (out / "encoding.csv").read_text().strip().split("\n")[1]
+        assert np.array_equal([float(c) for c in row.split(",")], expected)
+
     def test_fuse_writes_roc_tables(self, tmp_path, capsys):
         out = tmp_path / "fuse"
         cfg_path = write_config(
@@ -242,15 +273,32 @@ class TestReproducibility:
                      if p.label == "kin"]
         paths = {path for p in positives for path in (p.path_a, p.path_b)}
         faces = []
-        real = fcdbn.cli.encode_face
+        real = fcdbn.kvrl.encode_face
 
         def counting(model, regions):
             faces.append(regions.face.tobytes())
             return real(model, regions)
 
-        monkeypatch.setattr(fcdbn.cli, "encode_face", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "encode_face", counting)
         for threads in ("1", "2"):
             faces.clear()
             monkeypatch.setenv("FCDBN_THREADS", threads)
             assert run_command(["eval-kin", "--config", str(cfg_path)]) == 0
             assert len(faces) == len(set(faces)) == len(paths)
+
+    def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg_path = write_config(
+            tmp_path / "c.json", output_dir=str(out),
+            manifest=str(out / "manifest.csv"),
+            images_dir=str(out / "images"),
+            corpus_dir=str(out / "corpus"),
+            model_in=str(out / "model.json"),
+            families=8, corpus_families=3, epochs=1, classifier_epochs=20,
+        )
+        assert run_command(["synth", "--config", str(cfg_path)]) == 0
+        assert run_command(["train-kin", "--config", str(cfg_path)]) == 0
+        for threads in ("x", "0", "-1"):
+            monkeypatch.setenv("FCDBN_THREADS", threads)
+            assert run_command(["eval-kin", "--config", str(cfg_path)]) == 2
+            assert not (out / "folds.csv").exists()

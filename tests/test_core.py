@@ -4,7 +4,6 @@ import pytest
 from fcdbn.core import (
     RngStream,
     conv2d_same,
-    conv2d_same_image_grad,
     conv2d_same_kernel_grad,
     sigmoid,
 )
@@ -83,22 +82,6 @@ class TestConv2dSame:
                 fd = (np.sum(upstream * conv2d_same(img, k1))
                       - np.sum(upstream * conv2d_same(img, k2))) / (2 * eps)
                 assert abs(grad[p, q] - fd) < 1e-6
-
-    def test_image_grad_matches_finite_difference(self):
-        rng = np.random.default_rng(4)
-        img = rng.normal(size=(4, 4))
-        ker = rng.normal(size=(3, 3))
-        upstream = rng.normal(size=(4, 4))
-        grad = conv2d_same_image_grad(upstream, ker)
-        eps = 1e-6
-        for r in range(4):
-            for c in range(4):
-                i1, i2 = img.copy(), img.copy()
-                i1[r, c] += eps
-                i2[r, c] -= eps
-                fd = (np.sum(upstream * conv2d_same(i1, ker))
-                      - np.sum(upstream * conv2d_same(i2, ker))) / (2 * eps)
-                assert abs(grad[r, c] - fd) < 1e-6
 
 
 class TestConv2dStacks:

@@ -10,11 +10,13 @@ from fcdbn.kvrl import (
     ModelStateError,
     RegionFractions,
     encode_face,
+    encode_images,
     extract_regions,
     kin_score,
-    pair_feature,
+    pair_features,
     prepare_region,
     pretrain_stages,
+    score_pairs,
     t_mask,
     train_kvrl,
 )
@@ -130,23 +132,58 @@ class TestEncodeFace:
         assert np.max(np.abs(encode_face(model, regions) - manual)) < 1e-15
 
 
+class TestEncodeImages:
+    @pytest.mark.parametrize("regions", [("face", "t_region", "not_t"),
+                                         ("face", "chin", "binocular")])
+    def test_rows_equal_encode_face(self, regions):
+        stream = RngStream(seed=12)
+        corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(6)]
+        model = pretrain_stages(corpus, tiny_config(epochs=1, regions=regions))
+        extras = tuple(r for r in regions if r in ("chin", "binocular"))
+        codes = encode_images(model, corpus)
+        assert codes.shape == (6, 8)
+        for row, img in zip(codes, corpus):
+            expected = encode_face(model, extract_regions(
+                img, model.fractions, model.region_size, extras=extras))
+            assert np.array_equal(row, expected)
+
+
 class TestPairFeature:
     def test_halves_in_order(self):
-        fa = np.zeros(512)
-        fb = np.ones(512)
-        feat = pair_feature(fa, fb)
-        assert feat.shape == (1024,)
-        assert np.all(feat[:512] == 0.0)
-        assert np.all(feat[512:] == 1.0)
+        fa = np.zeros((1, 512))
+        fb = np.ones((1, 512))
+        feat = pair_features(fa, fb)
+        assert feat.shape == (2, 1024)
+        assert np.all(feat[0, :512] == 0.0) and np.all(feat[0, 512:] == 1.0)
+        assert np.all(feat[1, :512] == 1.0) and np.all(feat[1, 512:] == 0.0)
 
     def test_self_pair_has_identical_halves(self):
-        f = RngStream(seed=5).uniform01(512)
-        feat = pair_feature(f, f)
-        assert np.array_equal(feat[:512], feat[512:])
+        f = RngStream(seed=5).uniform01(512)[None]
+        feat = pair_features(f, f)
+        assert np.array_equal(feat[0, :512], feat[0, 512:])
+        assert np.array_equal(feat[0], feat[1])
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pair_feature(np.zeros(512), np.zeros(256))
+            pair_features(np.zeros((1, 512)), np.zeros((1, 256)))
+
+    def test_rows_interleave_both_orders_per_pair(self):
+        stream = RngStream(seed=6)
+        a = stream.uniform01(4 * 3).reshape(4, 3)
+        b = stream.uniform01(4 * 3).reshape(4, 3)
+        feat = pair_features(a, b)
+        assert feat.shape == (8, 6)
+        for i in range(4):
+            assert np.array_equal(feat[2 * i], np.concatenate([a[i], b[i]]))
+            assert np.array_equal(feat[2 * i + 1],
+                                  np.concatenate([b[i], a[i]]))
+
+    @pytest.mark.parametrize("shape_a,shape_b", [((512,), (512,)),
+                                                 ((2, 4), (3, 4)),
+                                                 ((1, 2, 4), (1, 2, 4))])
+    def test_non_matrix_or_unequal_shapes_rejected(self, shape_a, shape_b):
+        with pytest.raises(ValueError):
+            pair_features(np.zeros(shape_a), np.zeros(shape_b))
 
 
 class TestKinScore:
@@ -168,6 +205,20 @@ class TestKinScore:
         for a, b, _ in test_pairs[:10]:
             s = kin_score(model, extract_regions(a), extract_regions(b))
             assert 0.0 <= s <= 1.0
+
+    def test_score_pairs_symmetric_and_matches_kin_score(self):
+        model, test_pairs = self.trained_model()
+        images_a = [a for a, _, _ in test_pairs[:12]]
+        images_b = [b for _, b, _ in test_pairs[:12]]
+        codes_a = encode_images(model, images_a)
+        codes_b = encode_images(model, images_b)
+        forward = score_pairs(model.classifier, codes_a, codes_b)
+        swapped = score_pairs(model.classifier, codes_b, codes_a)
+        assert forward.shape == (12,)
+        assert np.array_equal(forward, swapped)
+        for s, a, b in zip(forward, images_a, images_b):
+            ref = kin_score(model, extract_regions(a), extract_regions(b))
+            assert abs(s - ref) <= 1e-12
 
     def test_untrained_classifier_rejected(self):
         model = zero_model()

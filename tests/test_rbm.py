@@ -19,7 +19,6 @@ from fcdbn.rbm import (
     energy_gaussian,
     fc_loss,
     fc_loss_grads,
-    filter_responses,
     hidden_given_visible,
     init_layer,
     visible_given_hidden,
@@ -323,10 +322,6 @@ class TestApplyFilters:
         img = stream.gaussian(36).reshape(6, 6)
         expected = sum(conv2d_same(img, f) for f in layer.filters).ravel()
         assert np.max(np.abs(apply_filters(img, layer) - expected)) < 1e-12
-        responses = filter_responses(img, layer)
-        assert len(responses) == 3
-        for r, f in zip(responses, layer.filters):
-            assert np.array_equal(r, conv2d_same(img, f))
 
     def test_linear_in_input(self):
         stream = RngStream(seed=33)
