@@ -36,7 +36,6 @@ from .fusion import (
 )
 from .kvrl import (
     encode_images,
-    pair_features,
     pretrain_stages,
     score_pairs,
     train_kvrl,
@@ -153,12 +152,11 @@ def _eval_fold(cfg, embeddings, fold_idx, train_pos, test_pos):
     test_neg = gen_negatives(test_pos, seed=fold_seed + 5000)
 
     train_pairs = [(p.path_a, p.path_b) for p in train_pos] + train_neg
-    feats = pair_features([embeddings[a] for a, _ in train_pairs],
-                          [embeddings[b] for _, b in train_pairs])
-    labels = np.repeat([1.0] * len(train_pos) + [0.0] * len(train_neg), 2)
-    arch = [feats.shape[1]] + list(cfg.classifier_hidden) + [1]
-    fold_cfg = replace(cfg, seed=cfg.seed + fold_idx)
-    clf = train_pair_classifier(feats, labels, arch, fold_cfg)
+    clf = train_pair_classifier(
+        [embeddings[a] for a, _ in train_pairs],
+        [embeddings[b] for _, b in train_pairs],
+        [1] * len(train_pos) + [0] * len(train_neg),
+        replace(cfg, seed=fold_seed))
 
     test_pairs = [(p.path_a, p.path_b) for p in test_pos] + test_neg
     scores = score_pairs(clf, [embeddings[a] for a, _ in test_pairs],
@@ -209,12 +207,9 @@ def cmd_eval_kin(cfg):
                      for p in fold]
         jobs.append((fold_idx, train_pos, test_pos))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda j: _eval_fold(cfg, embeddings, *j), jobs))
-    else:
-        results = [_eval_fold(cfg, embeddings, *j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(
+            lambda j: _eval_fold(cfg, embeddings, *j), jobs))
 
     fold_rows, all_scores, all_truths, all_relations = [], [], [], []
     for fold_idx, (scores, truths, relations) in enumerate(results):

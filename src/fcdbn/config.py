@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .kvrl import DEFAULT_REGIONS, EXTRA_REGIONS, RegionFractions
 from .rbm import TrainConfig
@@ -173,10 +173,3 @@ def load_config(path):
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)
-
-
-def config_to_dict(cfg):
-    out = asdict(cfg)
-    for key in _TUPLE_FIELDS:
-        out[key] = list(out[key])
-    return out

@@ -5,6 +5,11 @@ probabilities of the one below. Encoding never samples. The classifier is a
 feed-forward sigmoid net trained by backprop with inverted dropout: at train
 time each layer input is masked by Bernoulli(1 - r) draws and scaled by
 1 / (1 - r); at inference nothing is masked or scaled.
+
+The classifier has one forward pass, ``_forward``, and one backward pass,
+``_backward``. Inference (``dropout_forward``, ``mlp_predict``), the exact
+loss gradients (``mlp_loss_grads``) and training (``mlp_train``) all run
+them, so the backprop that trains is the backprop the gradient checks test.
 """
 from __future__ import annotations
 
@@ -147,29 +152,57 @@ def mlp_init(arch, stream, dropout_input=0.0, dropout_hidden=0.0):
     return model
 
 
-def _forward_train(model, x, stream, masks=None):
-    """Masked, scaled forward pass; returns activations and cached inputs."""
+def _forward(model, x, stream=None, masks=None):
+    """The one forward pass; returns the output and a per-layer cache.
+
+    With neither ``stream`` nor ``masks`` nothing is masked or scaled: this
+    is inference and the exact loss. ``masks`` (one array per layer) fixes
+    the sub-network; a ``stream`` draws Bernoulli(1 - r) masks. A masked
+    layer input is scaled by 1 / (1 - r). The cache holds, per layer, the
+    input the weights saw, its mask (None when unmasked) and the output.
+    """
     y = np.asarray(x, dtype=np.float64)
     if y.ndim == 1:
         y = y[None, :]
     cache = []
     for layer_idx, (w, b) in enumerate(zip(model.weights, model.biases)):
         r = model.dropout_input if layer_idx == 0 else model.dropout_hidden
+        m = None
         if masks is not None:
             m = masks[layer_idx]
-        elif r == 0.0:
-            # Bernoulli(1) draws are all ones: skip them, but advance the
-            # stream as they would, so later layers' masks stay the same
-            m = 1.0
-            stream.counter += y.size
-        else:
-            m = stream.bernoulli(y.size, 1.0 - r).reshape(y.shape)
-        u = y * m / (1.0 - r)
-        z = u @ w + b
-        out = sigmoid(z)
-        cache.append((y, m, u, out))
+        elif stream is not None:
+            if r == 0.0:
+                # Bernoulli(1) draws are all ones: skip them, but advance the
+                # stream as they would, so later layers' masks stay the same
+                stream.counter += y.size
+            else:
+                m = stream.bernoulli(y.size, 1.0 - r).reshape(y.shape)
+        u = y if m is None else y * m / (1.0 - r)
+        out = sigmoid(u @ w + b)
+        cache.append((u, m, out))
         y = out
     return y, cache
+
+
+def _backward(model, cache, delta):
+    """The one backprop: weight and bias gradients from a ``_forward`` cache.
+
+    ``delta`` is the loss gradient at the output pre-activation. The signal
+    sent down into a masked layer input is rescaled by m / (1 - r).
+    """
+    n_layers = len(model.weights)
+    gw, gb = [None] * n_layers, [None] * n_layers
+    for layer_idx in range(n_layers - 1, -1, -1):
+        u, m, _ = cache[layer_idx]
+        gw[layer_idx] = u.T @ delta
+        gb[layer_idx] = delta.sum(axis=0)
+        if layer_idx > 0:
+            back = delta @ model.weights[layer_idx].T
+            if m is not None:  # a hidden layer's input: rate dropout_hidden
+                back = back * m / (1.0 - model.dropout_hidden)
+            prev_out = cache[layer_idx - 1][2]
+            delta = back * prev_out * (1.0 - prev_out)
+    return gw, gb
 
 
 def dropout_forward(model, x, stream=None, train=False, masks=None):
@@ -182,17 +215,13 @@ def dropout_forward(model, x, stream=None, train=False, masks=None):
     specific sub-network).
     """
     model.validate()
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    y = x[None, :] if squeeze else x
     if not train:
-        for w, b in zip(model.weights, model.biases):
-            y = sigmoid(y @ w + b)
-        return y[0] if squeeze else y
-    if stream is None and masks is None:
+        stream = masks = None
+    elif stream is None and masks is None:
         raise ValueError("train=True needs a stream or explicit masks")
-    y, _ = _forward_train(model, y, stream, masks)
-    return y[0] if squeeze else y
+    x = np.asarray(x, dtype=np.float64)
+    y, _ = _forward(model, x, stream, masks)
+    return y[0] if x.ndim == 1 else y
 
 
 def mlp_predict(model, x):
@@ -224,20 +253,10 @@ def mlp_loss_grads(model, x, y):
     """Cross-entropy loss and exact backprop gradients, dropout disabled."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    n = x.shape[0]
-    acts = [x]
-    for w, b in zip(model.weights, model.biases):
-        acts.append(sigmoid(acts[-1] @ w + b))
-    p = acts[-1]
+    p, cache = _forward(model, x)
     loss = _bce(p[:, 0], y[:, 0])
-    delta = (p - y) / n  # sigmoid + cross-entropy
-    gw, gb = [], []
-    for layer_idx in range(len(model.weights) - 1, -1, -1):
-        gw.insert(0, acts[layer_idx].T @ delta)
-        gb.insert(0, delta.sum(axis=0))
-        if layer_idx > 0:
-            back = delta @ model.weights[layer_idx].T
-            delta = back * acts[layer_idx] * (1.0 - acts[layer_idx])
+    delta = (p - y) / x.shape[0]  # sigmoid + cross-entropy
+    gw, gb = _backward(model, cache, delta)
     return loss, {"weights": gw, "biases": gb}
 
 
@@ -274,22 +293,14 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
         for start in range(0, x.shape[0], cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x[idx], yy[idx]
-            out, cache = _forward_train(model, xb, mask_stream)
+            out, cache = _forward(model, xb, mask_stream)
             losses.append(_bce(out[:, 0], yb[:, 0]))
-            delta = (out - yb) / xb.shape[0]
+            gw, gb = _backward(model, cache, (out - yb) / xb.shape[0])
             for layer_idx in range(len(model.weights) - 1, -1, -1):
-                _, m, u, _ = cache[layer_idx]
-                r = model.dropout_input if layer_idx == 0 else model.dropout_hidden
-                gw = u.T @ delta
-                gb = delta.sum(axis=0)
-                if layer_idx > 0:
-                    back = (delta @ model.weights[layer_idx].T) * m / (1.0 - r)
-                    prev_out = cache[layer_idx - 1][3]
-                    delta = back * prev_out * (1.0 - prev_out)
                 vel_w[layer_idx] = (cfg.momentum * vel_w[layer_idx]
-                                    - cfg.learning_rate * gw)
+                                    - cfg.learning_rate * gw[layer_idx])
                 vel_b[layer_idx] = (cfg.momentum * vel_b[layer_idx]
-                                    - cfg.learning_rate * gb)
+                                    - cfg.learning_rate * gb[layer_idx])
                 model.weights[layer_idx] += vel_w[layer_idx]
                 model.biases[layer_idx] += vel_b[layer_idx]
         epoch_loss = float(np.mean(losses))

@@ -157,7 +157,6 @@ def roc(scores, labels, targets=TPR_AT_FPR_TARGETS):
 @dataclass
 class FoldPlan:
     folds: list
-    relation_tags: list
 
     def all_pairs(self):
         return [p for fold in self.folds for p in fold]
@@ -189,8 +188,7 @@ def make_folds(pairs, seed, n_folds=5):
         for j in perm:
             folds[cursor % n_folds].append(pairs[idxs[j]])
             cursor += 1
-    return FoldPlan(folds=folds,
-                    relation_tags=[[_relation_of(p) for p in f] for f in folds])
+    return FoldPlan(folds=folds)
 
 
 def _families(pairs):

@@ -9,7 +9,8 @@ as kin / non-kin. Scoring is symmetrized so argument order never matters.
 Every image-to-code step goes through ``encode_images`` (regions cut with
 the model's own geometry and extras), every pair feature through
 ``pair_features`` and every pair score through ``score_pairs``; training,
-``kin_score`` and the CLI are callers of these three.
+``kin_score`` and the CLI are callers of these three. Labeled code pairs
+become a trained classifier only in ``train_pair_classifier``.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ class RegionSet:
     face: np.ndarray
     t_region: np.ndarray
     not_t: np.ndarray
-    source_id: str = ""
     extras: dict = field(default_factory=dict)
 
     def get(self, name):
@@ -120,8 +120,7 @@ def t_mask(shape, fractions):
     return mask
 
 
-def extract_regions(aligned_face, fractions=None, size=32, extras=(),
-                    source_id=""):
+def extract_regions(aligned_face, fractions=None, size=32, extras=()):
     """Cut, mask, resize, and standardize the three default regions.
 
     Input must be an aligned 64x64 grayscale crop. The T crop keeps only
@@ -157,7 +156,7 @@ def extract_regions(aligned_face, fractions=None, size=32, extras=(),
         else:
             raise ValueError(f"unknown extra region {name!r}")
     return RegionSet(face=face, t_region=t_region, not_t=not_t,
-                     source_id=source_id, extras=extra_map)
+                     extras=extra_map)
 
 
 @dataclass
@@ -318,13 +317,12 @@ def train_kvrl(pretrain_corpus, kin_pairs, cfg):
                 distinct.append(img)
             rows.append(index[key])
     codes = encode_images(model, distinct)
-    feats = pair_features(codes[rows_a], codes[rows_b])
-    labels = np.repeat(np.asarray([label for _, _, label in kin_pairs],
-                                  dtype=np.float64), 2)
-    arch = [feats.shape[1]] + list(cfg.classifier_hidden) + [1]
     if cfg.classifier_epochs > 0:
-        classifier = train_pair_classifier(feats, labels, arch, cfg)
+        classifier = train_pair_classifier(
+            codes[rows_a], codes[rows_b],
+            [label for _, _, label in kin_pairs], cfg)
     else:
+        arch = [2 * codes.shape[1]] + list(cfg.classifier_hidden) + [1]
         classifier = mlp_init(arch, RngStream(seed=cfg.seed).child(7),
                               dropout_input=cfg.dropout_input,
                               dropout_hidden=cfg.dropout_hidden)
@@ -333,13 +331,19 @@ def train_kvrl(pretrain_corpus, kin_pairs, cfg):
     return model
 
 
-def train_pair_classifier(feats, labels, arch, cfg):
-    """Train the kin head on z-scored features, then bake the scaler in.
+def train_pair_classifier(codes_a, codes_b, labels, cfg):
+    """Train the kin head on labeled code pairs (label 1 = kin).
 
+    This is the one place where labeled pairs become a trained head: each
+    pair becomes the rows a||b and b||a (``pair_features``) with its label
+    twice, and the architecture is [2d] + cfg.classifier_hidden + [1].
     Stage-2 codes live in a narrow band of (0, 1), so the head trains on
     standardized features; baking the affine transform into the first
     layer keeps the stored model a plain feed-forward net on raw codes.
     """
+    feats = pair_features(codes_a, codes_b)
+    labels = np.repeat(np.asarray(labels, dtype=np.float64), 2)
+    arch = [feats.shape[1]] + list(cfg.classifier_hidden) + [1]
     mean = feats.mean(axis=0)
     std = np.maximum(feats.std(axis=0), 1e-8)
     classifier, _ = mlp_train((feats - mean) / std, labels, arch,

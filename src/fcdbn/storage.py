@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,30 +39,18 @@ class ModelFormatError(ValueError):
     """Model document fails version, schema or dimension checks."""
 
 
-def _umask():
-    mask = os.umask(0o077)  # os has no read-only query; restored at once
-    os.umask(mask)
-    return mask
-
-
-# mkstemp creates files readable by the owner only; written artifacts keep
-# the mode a plain open() would give them.
-_FILE_MODE = 0o666 & ~_umask()
-
-
 def atomic_write_bytes(path, payload):
     """Write payload to a fresh temp file beside path, then rename it over path.
 
     Concurrent writers never share a temp file, and a failed write removes
-    its temp file and leaves path as it was.
+    its temp file and leaves path as it was. The file is created with mode
+    0o666 less the process umask at the time of the write, as open() does.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), _FILE_MODE)
             fh.write(payload)
         os.replace(tmp, path)
         tmp = None

@@ -5,7 +5,9 @@ from fcdbn.core import RngStream, sigmoid
 from fcdbn.deepnet import (
     DbnStack,
     FcOptions,
-    _forward_train,
+    _backward,
+    _forward,
+    _bce,
     dropout_forward,
     encode,
     greedy_pretrain,
@@ -146,9 +148,9 @@ class TestDropoutForward:
         ref_stream = RngStream(seed=15)
         masks = [ref_stream.bernoulli(4 * 6, 1.0 - r_in).reshape(4, 6),
                  ref_stream.bernoulli(4 * 5, 1.0 - r_h).reshape(4, 5)]
-        expected, _ = _forward_train(model, x, None, masks=masks)
+        expected, _ = _forward(model, x, None, masks=masks)
         stream = RngStream(seed=15)
-        got, _ = _forward_train(model, x, stream)
+        got, _ = _forward(model, x, stream)
         assert stream.counter == ref_stream.counter == 4 * 6 + 4 * 5
         assert np.array_equal(got, expected)
 
@@ -228,6 +230,58 @@ class TestMlpTrain:
                 denom = max(abs(fd), abs(analytic), 1e-6)
                 worst = max(worst, abs(fd - analytic) / denom)
         assert worst < 1e-4
+
+    def test_masked_backprop_matches_finite_differences(self):
+        # the dropout backprop mlp_train runs, with the masks held fixed
+        stream = RngStream(seed=16)
+        n = 6
+        x = stream.gaussian(n * 4).reshape(n, 4)
+        y = stream.bernoulli(n, 0.5).reshape(-1, 1)
+        model = mlp_init([4, 5, 3, 1], stream.child(0),
+                         dropout_input=0.2, dropout_hidden=0.5)
+        masks = [stream.bernoulli(n * 4, 0.8).reshape(n, 4),
+                 stream.bernoulli(n * 5, 0.5).reshape(n, 5),
+                 stream.bernoulli(n * 3, 0.5).reshape(n, 3)]
+
+        def loss():
+            p, _ = _forward(model, x, masks=masks)
+            return _bce(p[:, 0], y[:, 0])
+
+        p, cache = _forward(model, x, masks=masks)
+        gw, gb = _backward(model, cache, (p - y) / n)
+        eps = 1e-5
+        worst = 0.0
+        for params, grads in ((model.weights, gw), (model.biases, gb)):
+            for param, grad in zip(params, grads):
+                flat = param.reshape(-1)
+                for idx in range(flat.size):
+                    orig = flat[idx]
+                    flat[idx] = orig + eps
+                    up = loss()
+                    flat[idx] = orig - eps
+                    down = loss()
+                    flat[idx] = orig
+                    fd = (up - down) / (2 * eps)
+                    analytic = grad.reshape(-1)[idx]
+                    denom = max(abs(fd), abs(analytic), 1e-6)
+                    worst = max(worst, abs(fd - analytic) / denom)
+        assert worst < 1e-4
+
+    def test_full_batch_epoch_is_one_gradient_step(self):
+        # momentum 0, dropout 0, one batch of every row: w1 = w0 - lr * g,
+        # with g the checked gradient on the rows in the epoch's order
+        x, y = self.separable_set()
+        seed, lr, arch = 5, 0.3, [2, 4, 3, 1]
+        cfg = TrainConfig(learning_rate=lr, epochs=1, batch_size=len(y),
+                          momentum=0.0, seed=seed)
+        model, _ = mlp_train(x, y, arch, cfg)
+        w0 = mlp_init(arch, RngStream(seed=seed).child(0))
+        order = RngStream(seed=seed).child(1).permutation(len(y))
+        _, g = mlp_loss_grads(w0, x[order], y[order])
+        for got, start, step in zip(model.weights + model.biases,
+                                    w0.weights + w0.biases,
+                                    g["weights"] + g["biases"]):
+            assert np.array_equal(got, start - lr * step)
 
     def test_single_class_labels_rejected(self):
         x = np.zeros((10, 3))

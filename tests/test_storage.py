@@ -422,6 +422,14 @@ class TestAtomicWrite:
         assert (os.stat(tmp_path / "atomic.bin").st_mode
                 == os.stat(plain).st_mode)
 
+    def test_written_file_follows_the_umask_at_write_time(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            save_pgm(tmp_path / "face.pgm", np.zeros((64, 64)))
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "face.pgm").st_mode & 0o777 == 0o640
+
     def test_concurrent_saves_to_one_path_both_succeed(self, tmp_path):
         path = tmp_path / "model.json"
         models = [hand_model(seed=1), hand_model(seed=2)]
