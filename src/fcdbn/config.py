@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .kvrl import DEFAULT_REGIONS, EXTRA_REGIONS, RegionFractions
@@ -76,6 +77,9 @@ class RunConfig:
     _KNOWN_REGIONS = DEFAULT_REGIONS + EXTRA_REGIONS
 
     def validate(self):
+        for name in ("learning_rate", "classifier_learning_rate", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.classifier_learning_rate <= 0:
             raise ConfigError("learning rates must be > 0")
         if self.epochs < 1 or self.batch_size < 1 or self.cd_steps < 1:

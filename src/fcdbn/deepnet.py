@@ -13,6 +13,7 @@ them, so the backprop that trains is the backprop the gradient checks test.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,7 +266,8 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
 
     arch lists node counts from input to the single output unit. Returns
     (model, per-epoch loss history); deterministic given cfg.seed. Raises
-    on single-class labels.
+    on single-class labels, and raises DivergenceError naming the epoch if
+    the loss or any weight or bias goes non-finite.
     """
     cfg.validate()
     x = np.asarray(features, dtype=np.float64)
@@ -287,7 +289,7 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
     vel_b = [np.zeros_like(b) for b in model.biases]
     history = []
     yy = y.reshape(-1, 1)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = sample_stream.permutation(x.shape[0])
         losses = []
         for start in range(0, x.shape[0], cfg.batch_size):
@@ -304,7 +306,8 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
                 model.weights[layer_idx] += vel_w[layer_idx]
                 model.biases[layer_idx] += vel_b[layer_idx]
         epoch_loss = float(np.mean(losses))
-        if not np.isfinite(epoch_loss):
-            raise RuntimeError("mlp training loss went non-finite")
+        if not (math.isfinite(epoch_loss) and all(
+                np.isfinite(p).all() for p in model.weights + model.biases)):
+            raise DivergenceError(epoch + 1)
         history.append(epoch_loss)
     return model, history

@@ -2,8 +2,10 @@
 
 A layer owns a D x F weight matrix, biases, optional visible noise scales,
 and optional learned convolution filters applied to the (image-shaped)
-visible input before it reaches the hidden units. Training is CD-k with
-analytic gradients for the contractive and filter-decay regularizers.
+visible input before it reaches the hidden units. Training is CD-k for W, a
+and b plus one regularizer and filter step, which is exactly -fc_loss_grads
+less the reconstruction W, a and b terms: both come from _regularized_terms,
+so training descends the gradients the finite-difference checks test.
 
 Sign convention for Gaussian visibles: the quadratic term enters the energy
 with a positive sign, + sum_i (v_i - b_i)^2 / (2 sigma_i^2), so the energy
@@ -11,6 +13,7 @@ is bounded below.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +51,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1 or self.cd_steps < 1:
@@ -92,6 +96,47 @@ class RbmLayer:
     def n_filters(self):
         return len(self.filters)
 
+    def validate(self):
+        """Check shapes, unit kind and settings; raises ValueError.
+
+        Weight values are not checked: NaN and Inf weights pass.
+        """
+        W, a, b = self.W, self.a, self.b
+        if W.ndim != 2 or a.shape != (W.shape[1],) or b.shape != (W.shape[0],):
+            raise ValueError(f"inconsistent layer dims: W {W.shape}, "
+                             f"a {a.shape}, b {b.shape}")
+        d = W.shape[0]
+        if self.unit_kind not in (BERNOULLI, GAUSSIAN):
+            raise ValueError(f"unknown unit_kind {self.unit_kind!r}")
+        if (self.unit_kind == GAUSSIAN) != (self.sigma is not None):
+            raise ValueError("sigma is required for gaussian units and "
+                             "allowed only for them")
+        if self.sigma is not None and (self.sigma.shape != (d,)
+                                       or not np.all(self.sigma > 0)):
+            raise ValueError(f"sigma must have shape ({d},) and be > 0")
+        shape = self.image_shape
+        if shape is not None and not (
+                len(shape) == 2
+                and all(isinstance(n, (int, np.integer))
+                        and not isinstance(n, bool) and n > 0 for n in shape)
+                and shape[0] * shape[1] == d):
+            raise ValueError(
+                f"image_shape {shape} must be two positive ints with product {d}")
+        if self.filters:
+            if shape is None:
+                raise ValueError("filtered layers need image_shape")
+            fshape = self.filters[0].shape
+            if any(f.shape != fshape for f in self.filters):
+                raise ValueError("filters must share one shape")
+            if (len(fshape) != 2 or any(n % 2 == 0 for n in fshape)
+                    or fshape[0] > shape[0] or fshape[1] > shape[1]):
+                raise ValueError(f"filters must be 2-D with odd sides that fit "
+                                 f"the image {tuple(shape)}, got {fshape}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
     def copy(self):
         return RbmLayer(
             W=self.W.copy(),
@@ -114,12 +159,6 @@ def init_layer(n_visible, n_hidden, stream, unit_kind=BERNOULLI, n_filters=0,
     N(0, 0.01) noise: the aggregate stays close to the raw image and a
     freshly filtered layer behaves almost like a plain one.
     """
-    if n_filters > 0 and image_shape is None:
-        raise ValueError("filtered layers need image_shape")
-    if image_shape is not None and image_shape[0] * image_shape[1] != n_visible:
-        raise ValueError(
-            f"image_shape {image_shape} inconsistent with n_visible {n_visible}"
-        )
     W = stream.gaussian(n_visible * n_hidden, sigma=0.01).reshape(n_visible, n_hidden)
     a = np.zeros(n_hidden)
     b = np.zeros(n_visible)
@@ -130,9 +169,11 @@ def init_layer(n_visible, n_hidden, stream, unit_kind=BERNOULLI, n_filters=0,
         f = f.reshape(filter_size, filter_size)
         f[filter_size // 2, filter_size // 2] += 1.0 / n_filters
         filters.append(f)
-    return RbmLayer(W=W, a=a, b=b, unit_kind=unit_kind, sigma=sigma,
-                    filters=filters, alpha=alpha, beta=beta,
-                    image_shape=image_shape)
+    layer = RbmLayer(W=W, a=a, b=b, unit_kind=unit_kind, sigma=sigma,
+                     filters=filters, alpha=alpha, beta=beta,
+                     image_shape=image_shape)
+    layer.validate()
+    return layer
 
 
 def _check_sigma(layer):
@@ -252,17 +293,14 @@ def _aggregate_rows(X, layer):
 def _filter_grads_from_dv(X, dV, layer):
     """Chain batch gradients on the aggregated visible back to each filter.
 
-    The aggregate is linear in each filter and every filter sees the same
-    input, so all K gradients are equal: it is computed once per kernel
-    shape and each filter gets its own copy.
+    The aggregate is linear in each filter, every filter sees the same input
+    and all filters share one shape, so all K gradients are equal: it is
+    computed once and each filter gets its own copy.
     """
     stack = X.reshape(X.shape[0], *layer.image_shape)
-    upstream = dV.reshape(stack.shape)
-    by_shape = {}
-    for f in layer.filters:
-        if f.shape not in by_shape:
-            by_shape[f.shape] = conv2d_same_kernel_grad(stack, upstream, f.shape)
-    return [by_shape[f.shape].copy() for f in layer.filters]
+    g = conv2d_same_kernel_grad(stack, dV.reshape(stack.shape),
+                                layer.filters[0].shape)
+    return [g.copy() for _ in layer.filters]
 
 
 def _contractive_terms(layer, V, activation="sigmoid"):
@@ -362,51 +400,70 @@ def fc_loss(layer, batch):
     return value
 
 
+def _regularized_terms(layer, X, V):
+    """The regularizers, and the filter gradients of the whole objective.
+
+    X is a batch of flattened images and V its filter aggregate. Returns
+    (value, dW, da, filter_grads): value = alpha * contractive(V) + beta *
+    sum_k ||f_k||^2; dW and da are its gradients (the contractive term's,
+    zero when alpha is 0); filter_grads are the gradients of reconstruction
+    + regularizers, from one kernel-gradient call on
+    dV_recon + alpha * dV_contractive, plus 2 beta f_k ([] for plain layers).
+
+    fc_loss_grads adds these to the reconstruction's W, a and b gradients;
+    cd_train subtracts them from the CD estimate. So filters descend the
+    deterministic reconstruction proxy instead of chaining the likelihood
+    term: with sigma fixed, the likelihood of the filtered visibles is
+    maximized by a zero-sum kernel that erases the input, so the likelihood
+    chain drives every filter toward that degenerate point. The
+    reconstruction anchor keeps the aggregate informative.
+    """
+    value, dW, da = 0.0, np.zeros_like(layer.W), np.zeros_like(layer.a)
+    if layer.alpha != 0.0:
+        pval, pW, pa, pV = _contractive_terms(layer, V)
+        value, dW, da = layer.alpha * pval, layer.alpha * pW, layer.alpha * pa
+    if layer.n_filters == 0:
+        return value, dW, da, []
+    dV = _reconstruction_terms(layer, V)[4]
+    if layer.alpha != 0.0:
+        dV = dV + layer.alpha * pV
+    fgrads = _filter_grads_from_dv(X, dV, layer)
+    if layer.beta != 0.0:
+        value += layer.beta * sum(float(np.sum(f ** 2)) for f in layer.filters)
+        fgrads = [g + 2.0 * layer.beta * f
+                  for g, f in zip(fgrads, layer.filters)]
+    return value, dW, da, fgrads
+
+
 def fc_loss_grads(layer, batch):
     """fc_loss value plus exact analytic gradients for W, a, b and filters."""
-    width = layer.n_visible
-    batch, _ = _as_batch(batch, width, "fc_loss")
+    layer.validate()
+    batch, _ = _as_batch(batch, layer.n_visible, "fc_loss")
     if batch.shape[0] == 0:
         raise ValueError("fc_loss: empty batch")
     V = _aggregate_rows(batch, layer)
-    recon, dW, da, db, dV = _reconstruction_terms(layer, V)
-    value = recon
-    if layer.alpha != 0.0:
-        pval, pW, pa, pV = _contractive_terms(layer, V)
-        value += layer.alpha * pval
-        dW = dW + layer.alpha * pW
-        da = da + layer.alpha * pa
-        dV = dV + layer.alpha * pV
-    grads = {"W": dW, "a": da, "b": db}
+    recon, dW, da, db, _ = _reconstruction_terms(layer, V)
+    reg, rW, ra, fgrads = _regularized_terms(layer, batch, V)
+    grads = {"W": dW + rW, "a": da + ra, "b": db}
     if layer.n_filters > 0:
-        fgrads = _filter_grads_from_dv(batch, dV, layer)
-        if layer.beta != 0.0:
-            value += layer.beta * sum(float(np.sum(f ** 2)) for f in layer.filters)
-            fgrads = [g + 2.0 * layer.beta * f
-                      for g, f in zip(fgrads, layer.filters)]
         grads["filters"] = fgrads
-    return value, grads
+    return recon + reg, grads
 
 
 def cd_gradients(layer, batch, stream, cd_steps=1):
-    """CD-k log-likelihood ascent estimate (no regularizers).
+    """CD-k log-likelihood ascent estimate for W, a and b (no regularizers).
 
     Hidden states are sampled along the chain; visible reconstructions use
-    conditional means. Filter gradients descend the deterministic
-    reconstruction proxy instead of chaining the likelihood term: with
-    sigma fixed, the likelihood of the filtered visibles is maximized by a
-    zero-sum kernel that erases the input, so the likelihood chain drives
-    every filter toward that degenerate point. The reconstruction anchor
-    keeps the aggregate informative. Returns (grads dict, mean one-step
-    reconstruction error).
+    conditional means. Filters have no CD term (see _regularized_terms).
+    Returns (grads dict, mean one-step reconstruction error).
     """
     X, _ = _as_batch(batch, layer.n_visible, "cd_gradients")
-    return _cd_terms(layer, X, _aggregate_rows(X, layer), stream, cd_steps)
+    return _cd_terms(layer, _aggregate_rows(X, layer), stream, cd_steps)
 
 
-def _cd_terms(layer, X, V, stream, cd_steps):
-    """cd_gradients on a batch X whose filter aggregate V is already built."""
-    n = X.shape[0]
+def _cd_terms(layer, V, stream, cd_steps):
+    """cd_gradients on a batch whose filter aggregate V is already built."""
+    n = V.shape[0]
     scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
     Vs = V / scale if scale is not None else V
 
@@ -425,12 +482,8 @@ def _cd_terms(layer, X, V, stream, cd_steps):
         gb = ((V - vk) / layer.sigma ** 2).mean(axis=0)
     else:
         gb = (V - vk).mean(axis=0)
-    grads = {"W": gW, "a": ga, "b": gb}
-    if layer.n_filters > 0:
-        _, _, _, _, dV = _reconstruction_terms(layer, V)
-        grads["filters"] = [-g for g in _filter_grads_from_dv(X, dV, layer)]
     recon = float(np.mean((visible_given_hidden(h0, layer) - V) ** 2))
-    return grads, recon
+    return {"W": gW, "a": ga, "b": gb}, recon
 
 
 def cd_train(layer, data, cfg):
@@ -441,6 +494,7 @@ def cd_train(layer, data, cfg):
     DivergenceError naming the epoch if any parameter goes non-finite.
     """
     cfg.validate()
+    layer.validate()
     data, _ = _as_batch(data, layer.n_visible, "cd_train")
     if data.shape[0] == 0:
         raise ValueError("cd_train: empty data")
@@ -458,37 +512,25 @@ def cd_train(layer, data, cfg):
         errs = []
         for batch in batches:
             V = _aggregate_rows(batch, out)
-            step, recon = _cd_terms(out, batch, V, stream, cfg.cd_steps)
+            step, recon = _cd_terms(out, V, stream, cfg.cd_steps)
+            _, rW, ra, rfilters = _regularized_terms(out, batch, V)
             errs.append(recon)
-            if out.alpha != 0.0:
-                _, pW, pa, pV = _contractive_terms(out, V)
-                step["W"] -= out.alpha * pW
-                step["a"] -= out.alpha * pa
-                if out.n_filters > 0:
-                    pf = _filter_grads_from_dv(batch, pV, out)
-                    step["filters"] = [g - out.alpha * dgf
-                                       for g, dgf in zip(step["filters"], pf)]
-            if out.beta != 0.0 and out.n_filters > 0:
-                step["filters"] = [g - 2.0 * out.beta * f
-                                   for g, f in zip(step["filters"], out.filters)]
-            vel["W"] = cfg.momentum * vel["W"] + cfg.learning_rate * step["W"]
-            vel["a"] = cfg.momentum * vel["a"] + cfg.learning_rate * step["a"]
+            vel["W"] = cfg.momentum * vel["W"] + cfg.learning_rate * (step["W"] - rW)
+            vel["a"] = cfg.momentum * vel["a"] + cfg.learning_rate * (step["a"] - ra)
             vel["b"] = cfg.momentum * vel["b"] + cfg.learning_rate * step["b"]
             out.W += vel["W"]
             out.a += vel["a"]
             out.b += vel["b"]
-            if out.n_filters > 0 and "filters" in step:
-                # bounded filter steps: norm-clip each gradient and damp the
-                # rate so the filter/weight feedback loop cannot run away
-                filter_lr = cfg.learning_rate / FILTER_RATE_DAMPING
-                for k in range(out.n_filters):
-                    g = step["filters"][k]
-                    norm = float(np.linalg.norm(g))
-                    if norm > FILTER_GRAD_CLIP:
-                        g = g * (FILTER_GRAD_CLIP / norm)
-                    vel["filters"][k] = (cfg.momentum * vel["filters"][k]
-                                         + filter_lr * g)
-                    out.filters[k] += vel["filters"][k]
+            # bounded filter steps: norm-clip each descent direction and damp
+            # the rate so the filter/weight feedback loop cannot run away
+            filter_lr = cfg.learning_rate / FILTER_RATE_DAMPING
+            for k, g in enumerate(rfilters):
+                g = -g
+                norm = float(np.linalg.norm(g))
+                if norm > FILTER_GRAD_CLIP:
+                    g = g * (FILTER_GRAD_CLIP / norm)
+                vel["filters"][k] = cfg.momentum * vel["filters"][k] + filter_lr * g
+                out.filters[k] += vel["filters"][k]
         history.append(float(np.mean(errs)))
         params = [out.W, out.a, out.b] + out.filters
         if not all(np.all(np.isfinite(p)) for p in params):

@@ -190,15 +190,10 @@ def _layer_from_doc(doc):
         image_shape=None if doc["image_shape"] is None
         else tuple(doc["image_shape"]),
     )
-    d, f = layer.W.shape if layer.W.ndim == 2 else (0, 0)
-    if layer.W.ndim != 2 or layer.a.shape != (f,) or layer.b.shape != (d,):
-        raise ModelFormatError(
-            f"inconsistent layer dims: W {layer.W.shape}, a {layer.a.shape}, "
-            f"b {layer.b.shape}"
-        )
-    if layer.image_shape is not None and \
-            layer.image_shape[0] * layer.image_shape[1] != d:
-        raise ModelFormatError(f"image_shape {layer.image_shape} != D {d}")
+    try:
+        layer.validate()
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
     return layer
 
 

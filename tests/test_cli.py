@@ -41,7 +41,8 @@ def read_bytes_tree(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 
@@ -56,10 +57,15 @@ class TestCliBasics:
         assert not out_dir.exists()
 
     def test_invalid_config_value_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", momentum=1.5,
-                           output_dir=str(tmp_path / "out"))
-        assert run_command(["synth", "--config", str(cfg)]) == 2
-        assert not (tmp_path / "out").exists()
+        nan, inf = float("nan"), float("inf")
+        for key, value in [("momentum", 1.5), ("learning_rate", nan),
+                           ("classifier_learning_rate", nan), ("alpha", nan),
+                           ("alpha", inf), ("beta", nan), ("beta", inf),
+                           ("learning_rate", inf)]:
+            cfg = write_config(tmp_path / "c.json", **{key: value},
+                               output_dir=str(tmp_path / "out"))
+            assert run_command(["synth", "--config", str(cfg)]) == 2, (key, value)
+            assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"

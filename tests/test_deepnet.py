@@ -16,7 +16,13 @@ from fcdbn.deepnet import (
     mlp_predict,
     mlp_train,
 )
-from fcdbn.rbm import GAUSSIAN, RbmLayer, TrainConfig, hidden_given_visible
+from fcdbn.rbm import (
+    GAUSSIAN,
+    DivergenceError,
+    RbmLayer,
+    TrainConfig,
+    hidden_given_visible,
+)
 
 
 def zero_stack(dims):
@@ -282,6 +288,17 @@ class TestMlpTrain:
                                     w0.weights + w0.biases,
                                     g["weights"] + g["biases"]):
             assert np.array_equal(got, start - lr * step)
+
+    def test_non_finite_weights_raise_divergence(self):
+        # the epoch's loss is taken before its last update, so it stays
+        # finite here while that update sends the weights to Inf / NaN
+        x = RngStream(seed=1).gaussian(200 * 6).reshape(200, 6)
+        y = (x[:, 0] > 0).astype(float)
+        cfg = TrainConfig(learning_rate=1e200, epochs=1, batch_size=256, seed=2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                mlp_train(x * 1e200, y, [6, 4, 1], cfg)
+        assert err.value.epoch == 1
 
     def test_single_class_labels_rejected(self):
         x = np.zeros((10, 3))

@@ -7,6 +7,8 @@ from scipy.integrate import simpson
 from fcdbn.core import RngStream, conv2d_same, conv2d_same_kernel_grad
 from fcdbn.rbm import (
     BERNOULLI,
+    FILTER_GRAD_CLIP,
+    FILTER_RATE_DAMPING,
     GAUSSIAN,
     DivergenceError,
     RbmLayer,
@@ -574,6 +576,38 @@ class TestCdTrain:
             with pytest.raises(DivergenceError) as err:
                 cd_train(layer, data, cfg)
         assert 1 <= err.value.epoch <= 15
+
+    @pytest.mark.parametrize("unit_kind", [GAUSSIAN, BERNOULLI])
+    def test_one_epoch_descends_the_shared_objective(self, unit_kind):
+        # one full batch, momentum 0: each filter takes the clipped, damped
+        # step along -fc_loss_grads, and W and a take the CD step less the
+        # contractive gradients, bit for bit
+        stream = RngStream(seed=65)
+        layer = filtered_layer(stream, shape=(5, 5), f=4, k=3, alpha=0.3,
+                               beta=0.01, unit_kind=unit_kind)
+        data = stream.bernoulli(12 * 25, 0.5).reshape(12, 25)
+        cfg = TrainConfig(learning_rate=0.2, epochs=1, batch_size=12,
+                          momentum=0.0, seed=4)
+        trained, _ = cd_train(layer, data, cfg)
+
+        run = RngStream(seed=cfg.seed)
+        batch = data[run.permutation(len(data))]
+        _, grads = fc_loss_grads(layer, batch)
+        filter_lr = cfg.learning_rate / FILTER_RATE_DAMPING
+        for f, g, got in zip(layer.filters, grads["filters"], trained.filters):
+            g = -g
+            norm = np.linalg.norm(g)
+            if norm > FILTER_GRAD_CLIP:
+                g = g * (FILTER_GRAD_CLIP / norm)
+            assert np.array_equal(got, f + filter_lr * g)
+
+        cd, _ = cd_gradients(layer, batch, run)
+        V = np.stack([apply_filters(x.reshape(5, 5), layer) for x in batch])
+        _, reg = contractive_penalty(layer, V)
+        for name in ("W", "a"):
+            want = getattr(layer, name) + cfg.learning_rate * (
+                cd[name] - layer.alpha * reg[name])
+            assert np.array_equal(getattr(trained, name), want), name
 
     def test_filtered_training_runs_and_improves(self):
         # aggregated visibles are real-valued, so filtered layers pair with

@@ -338,6 +338,36 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="stage2"):
             load_model(write_doc(doc, tmp_path / "bad.json"))
 
+    @pytest.mark.parametrize("mutate", [
+        lambda l: l.update(unit_kind="bogus"),
+        lambda l: l.update(unit_kind="bernoulli"),
+        lambda l: l.update(alpha=float("nan")),
+        lambda l: l.update(alpha=float("inf")),
+        lambda l: l.update(beta=-1.0),
+        lambda l: l.update(image_shape=None),
+        lambda l: l.update(image_shape=[4, 4, 1]),
+        lambda l: l.update(image_shape=[2, 8]),
+        lambda l: l.update(filters=[storage._arr(np.zeros(3))] * 2),
+        lambda l: l.update(filters=[storage._arr(np.zeros((4, 4)))] * 2),
+        lambda l: l.update(filters=[storage._arr(np.zeros((0, 0)))] * 2),
+        lambda l: l.update(filters=[storage._arr(np.zeros((99, 99)))] * 2),
+        lambda l: l.update(filters=[storage._arr(np.zeros((3, 3))),
+                                    storage._arr(np.zeros((1, 1)))]),
+        lambda l: l.update(sigma=None),
+        lambda l: l.update(sigma=storage._arr(np.ones(15))),
+        lambda l: l.update(sigma=storage._arr(np.zeros(16))),
+    ], ids=["bogus-unit-kind", "bernoulli-with-sigma", "nan-alpha",
+            "inf-alpha", "negative-beta", "null-image-shape",
+            "3-int-image-shape", "image-shape-cannot-hold-filter",
+            "1d-filters", "even-filters", "empty-filters", "filters-too-big",
+            "mixed-filter-shapes", "missing-sigma", "short-sigma",
+            "zero-sigma"])
+    def test_invalid_layer_rejected(self, tmp_path, mutate):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        mutate(doc["payload"]["stage1"]["face"]["layers"][0])
+        with pytest.raises(ModelFormatError):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
     def test_payload_list_fails_closed(self, tmp_path):
         doc = saved_doc(hand_model(), tmp_path / "m.json")
         doc["payload"] = [1, 2]
