@@ -30,8 +30,10 @@ from .evaluation import (
     ztest_proportions,
 )
 from .fusion import (
+    FusionModel,
     boost_decision,
-    fit_fusion,
+    fit_plr_models,
+    svm_fit,
     synth_score_records,
 )
 from .kvrl import (
@@ -261,11 +263,14 @@ def cmd_fuse(cfg):
     holdout = synth_score_records(cfg.seed + 1, cfg.n_genuine, cfg.n_impostor,
                                   face_shift=cfg.face_shift,
                                   kin_shift=cfg.kin_shift, n_kin=cfg.n_kin)
-    models = fit_fusion(records, n_components=cfg.gmm_components, seed=cfg.seed)
+    methods = ("plr", "svm") if cfg.fusion_method == "both" else (cfg.fusion_method,)
+    models = FusionModel(
+        plr=(fit_plr_models(records, n_components=cfg.gmm_components,
+                            seed=cfg.seed) if "plr" in methods else None),
+        svm=svm_fit(records) if "svm" in methods else None)
     labels = [r.label for r in holdout]
     face_scores = [r.s for r in holdout]
     curves = {"face": roc(face_scores, labels)}
-    methods = ("plr", "svm") if cfg.fusion_method == "both" else (cfg.fusion_method,)
     for method in methods:
         fused = [boost_decision(r, method, 0.0, models)[1] for r in holdout]
         curves[method] = roc(fused, labels)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .kvrl import DEFAULT_REGIONS, EXTRA_REGIONS, RegionFractions
@@ -110,13 +111,18 @@ class RunConfig:
             if name not in self._KNOWN_REGIONS:
                 raise ConfigError(f"unknown region {name!r}")
         for frac in (self.eye_rows, self.nose_rows, self.nose_cols, self.chin_rows):
-            lo, hi = frac
-            if not (0.0 <= lo < hi <= 1.0):
+            if len(frac) != 2 or not 0.0 <= frac[0] < frac[1] <= 1.0:
                 raise ConfigError(f"bad fractional range {frac}")
         if self.fusion_method not in ("plr", "svm", "both"):
             raise ConfigError(f"unknown fusion method {self.fusion_method!r}")
         if self.gmm_components < 1:
             raise ConfigError("gmm_components must be >= 1")
+        # fuse fits each score class with a gmm_components-mixture
+        if min(self.n_genuine, self.n_impostor) < 2 * self.gmm_components:
+            raise ConfigError(f"n_genuine and n_impostor must be >= "
+                              f"2 * gmm_components = {2 * self.gmm_components}")
+        if self.n_kin == 0 and self.fusion_method in ("plr", "both"):
+            raise ConfigError("plr fusion needs n_kin >= 1")
         if not 0.0 <= self.separability <= 1.0:
             raise ConfigError("separability must be in [0, 1]")
         if self.families < 1 or self.members_per_family < 1 or self.corpus_families < 1:
@@ -142,26 +148,39 @@ class RunConfig:
                            momentum=self.momentum, seed=self.seed + 104729)
 
 
-_TUPLE_FIELDS = {"stage1_dims", "stage2_dims", "classifier_hidden", "regions",
-                 "eye_rows", "nose_rows", "nose_cols", "chin_rows"}
+def _check_type(key, value, default):
+    """Raise ConfigError unless a JSON value fits the type of the field default.
+
+    bool is never a number; a float field also takes an int in float range;
+    a tuple field takes a list whose items fit the default's first item.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list")
+        for item in value:
+            _check_type(key, item, default[0])
+        return
+    kind = type(default)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        ok = abs(value) <= sys.float_info.max
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{key} must hold {kind.__name__} values, got {value!r}")
 
 
 def config_from_dict(data):
-    known = {f.name for f in fields(RunConfig) if not f.name.startswith("_")}
-    unknown = set(data) - known
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        if key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key} must be a list")
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        _check_type(key, value, defaults[key])
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg
 

@@ -127,9 +127,12 @@ def roc(scores, labels, targets=TPR_AT_FPR_TARGETS):
     """Threshold sweep over distinct scores (higher score = more positive).
 
     Returns curve points starting at (0, 0), trapezoidal AUC, and the best
-    TPR achieved at FPR <= each target.
+    TPR achieved at FPR <= each target. Raises ValueError on a NaN or
+    infinite score, which has no place in the ranking.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("roc needs finite scores")
     labels = np.asarray(labels)
     pos = labels == 1
     n_pos = int(pos.sum())

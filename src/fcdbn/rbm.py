@@ -2,7 +2,9 @@
 
 A layer owns a D x F weight matrix, biases, optional visible noise scales,
 and optional learned convolution filters applied to the (image-shaped)
-visible input before it reaches the hidden units. Training is CD-k for W, a
+visible input before it reaches the hidden units. Each batch runs one
+deterministic up-down pass, phi = p(h | V) and vhat = E[v | phi], that the
+CD, contractive and reconstruction terms share. Training is CD-k for W, a
 and b plus one regularizer and filter step, which is exactly -fc_loss_grads
 less the reconstruction W, a and b terms: both come from _regularized_terms,
 so training descends the gradients the finite-difference checks test.
@@ -303,39 +305,36 @@ def _filter_grads_from_dv(X, dV, layer):
     return [g.copy() for _ in layer.filters]
 
 
-def _contractive_terms(layer, V, activation="sigmoid"):
-    """Penalty value plus exact gradients w.r.t. W, a and the input rows.
+def _up_down(layer, V):
+    """One batch's deterministic up-down pass: phi = p(h | V), vhat = E[v | phi]."""
+    phi = hidden_given_visible(V, layer)
+    return phi, visible_given_hidden(phi, layer)
+
+
+def _to_visible(layer, d):
+    """Chain a gradient on the hidden pre-activations back to the visible rows."""
+    dV = d @ layer.W.T
+    return dV / layer.sigma if layer.unit_kind == GAUSSIAN else dV
+
+
+def _contractive_terms(layer, V, phi):
+    """Penalty value plus exact gradients w.r.t. W, a and the pre-activations.
 
     V rows are the vectors the hidden layer actually sees (aggregate first
-    for filtered layers). With the sigmoid activation the penalty is the
-    squared Frobenius norm of the hidden Jacobian, batch-averaged:
-    mean_n sum_j (phi_j (1 - phi_j))^2 sum_i W_ij^2. In linear mode the
-    derivative factor is 1 and the value collapses to the weight-decay sum.
+    for filtered layers) and phi = p(h | V). The penalty is the squared
+    Frobenius norm of the hidden Jacobian, batch-averaged:
+    mean_n sum_j (phi_j (1 - phi_j))^2 sum_i W_ij^2. Returns
+    (value, dW, da, dz); _to_visible(layer, dz) is its gradient on V.
     """
     n = V.shape[0]
     w2 = np.sum(layer.W ** 2, axis=0)  # (F,)
-    scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
-    Vs = V / scale if scale is not None else V
-    if activation == "linear":
-        value = float(np.sum(w2))
-        dW = 2.0 * layer.W
-        da = np.zeros_like(layer.a)
-        dV = np.zeros_like(V)
-        return value, dW, da, dV
-    if activation != "sigmoid":
-        raise ValueError(f"unknown activation {activation!r}")
-    phi = sigmoid(Vs @ layer.W + layer.a)  # (N, F)
-    s = phi * (1.0 - phi)
-    s2 = s ** 2
+    Vs = V / layer.sigma if layer.unit_kind == GAUSSIAN else V
+    s2 = (phi * (1.0 - phi)) ** 2
     value = float(np.mean(s2 @ w2))
     # d(value)/d(pre-activation): 2 s^2 (1 - 2 phi) w2, batch-averaged
     dz = 2.0 * s2 * (1.0 - 2.0 * phi) * w2 / n
-    da = dz.sum(axis=0)
     dW = Vs.T @ dz + 2.0 * layer.W * s2.sum(axis=0) / n
-    dV = dz @ layer.W.T
-    if scale is not None:
-        dV = dV / scale
-    return value, dW, da, dV
+    return value, dW, dz.sum(axis=0), dz
 
 
 def contractive_penalty(layer, batch, activation="sigmoid"):
@@ -343,49 +342,45 @@ def contractive_penalty(layer, batch, activation="sigmoid"):
 
     ``batch`` rows are the visible vectors seen by the hidden layer
     (filter-aggregated for filtered layers). Returns (value, grads) where
-    grads maps "W" and "a" to exact derivatives of the value.
+    grads maps "W" and "a" to exact derivatives of the value. In linear mode
+    the derivative factor is 1 and the value collapses to sum_ij W_ij^2.
     """
     batch, _ = _as_batch(batch, layer.n_visible, "contractive_penalty")
     if batch.shape[0] == 0:
         raise ValueError("contractive_penalty: empty batch")
-    value, dW, da, _ = _contractive_terms(layer, batch, activation)
+    if activation == "linear":
+        value = float(np.sum(np.sum(layer.W ** 2, axis=0)))
+        return value, {"W": 2.0 * layer.W, "a": np.zeros_like(layer.a)}
+    if activation != "sigmoid":
+        raise ValueError(f"unknown activation {activation!r}")
+    phi = hidden_given_visible(batch, layer)
+    value, dW, da, _ = _contractive_terms(layer, batch, phi)
     return value, {"W": dW, "a": da}
 
 
-def _reconstruction_terms(layer, V):
+def _reconstruction_terms(layer, V, phi, vhat):
     """Deterministic one-step reconstruction error and its gradients.
 
-    phi = p(h | V), Vhat = visible conditional mean given phi; the loss is
-    mean over batch entries of (Vhat - V)^2. Returns the loss, gradients on
-    W, a, b, and the total gradient on V (both the target path and the
-    encoding path).
+    (phi, vhat) is V's up-down pass; the loss is the mean over batch entries
+    of (vhat - V)^2. Returns the loss, gradients on W, a, b, and the total
+    gradient on V (both the target path and the encoding path).
     """
     n, d = V.shape
-    scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
-    Vs = V / scale if scale is not None else V
-    z1 = Vs @ layer.W + layer.a
-    phi = sigmoid(z1)
-    pre2 = phi @ layer.W.T
-    if layer.unit_kind == GAUSSIAN:
-        vhat = layer.b + scale * pre2
-    else:
-        vhat = sigmoid(pre2 + layer.b)
+    gaussian = layer.unit_kind == GAUSSIAN
     diff = vhat - V
     loss = float(np.mean(diff ** 2))
-    g0 = 2.0 * diff / (n * d)  # dL/dVhat
-    if layer.unit_kind == GAUSSIAN:
-        g2 = g0 * scale  # dL/dpre2
+    g0 = 2.0 * diff / (n * d)  # dL/dvhat
+    if gaussian:
+        g2 = g0 * layer.sigma  # dL/d(phi W^T)
         db = g0.sum(axis=0)
     else:
         g2 = g0 * vhat * (1.0 - vhat)
         db = g2.sum(axis=0)
     dW = g2.T @ phi  # decode path
-    dh = g2 @ layer.W
-    g1 = dh * phi * (1.0 - phi)
-    da = g1.sum(axis=0)
+    g1 = (g2 @ layer.W) * phi * (1.0 - phi)
+    Vs = V / layer.sigma if gaussian else V
     dW += Vs.T @ g1  # encode path
-    dV = -g0 + (g1 @ layer.W.T) / scale if scale is not None else -g0 + g1 @ layer.W.T
-    return loss, dW, da, db, dV
+    return loss, dW, g1.sum(axis=0), db, -g0 + _to_visible(layer, g1)
 
 
 def fc_loss(layer, batch):
@@ -400,15 +395,16 @@ def fc_loss(layer, batch):
     return value
 
 
-def _regularized_terms(layer, X, V):
+def _regularized_terms(layer, X, V, phi, recon_dV):
     """The regularizers, and the filter gradients of the whole objective.
 
-    X is a batch of flattened images and V its filter aggregate. Returns
-    (value, dW, da, filter_grads): value = alpha * contractive(V) + beta *
-    sum_k ||f_k||^2; dW and da are its gradients (the contractive term's,
-    zero when alpha is 0); filter_grads are the gradients of reconstruction
-    + regularizers, from one kernel-gradient call on
-    dV_recon + alpha * dV_contractive, plus 2 beta f_k ([] for plain layers).
+    X is a batch of flattened images, V its filter aggregate, phi = p(h | V)
+    and recon_dV the reconstruction's gradient on V (read only for filtered
+    layers). Returns (value, dW, da, filter_grads): value = alpha *
+    contractive(V) + beta * sum_k ||f_k||^2; dW and da are its gradients
+    (zero when alpha is 0); filter_grads are the gradients of reconstruction
+    + regularizers, from one kernel-gradient call on recon_dV + alpha *
+    dV_contractive, plus 2 beta f_k ([] for plain layers).
 
     fc_loss_grads adds these to the reconstruction's W, a and b gradients;
     cd_train subtracts them from the CD estimate. So filters descend the
@@ -420,13 +416,13 @@ def _regularized_terms(layer, X, V):
     """
     value, dW, da = 0.0, np.zeros_like(layer.W), np.zeros_like(layer.a)
     if layer.alpha != 0.0:
-        pval, pW, pa, pV = _contractive_terms(layer, V)
+        pval, pW, pa, pz = _contractive_terms(layer, V, phi)
         value, dW, da = layer.alpha * pval, layer.alpha * pW, layer.alpha * pa
     if layer.n_filters == 0:
         return value, dW, da, []
-    dV = _reconstruction_terms(layer, V)[4]
+    dV = recon_dV
     if layer.alpha != 0.0:
-        dV = dV + layer.alpha * pV
+        dV = dV + layer.alpha * _to_visible(layer, pz)
     fgrads = _filter_grads_from_dv(X, dV, layer)
     if layer.beta != 0.0:
         value += layer.beta * sum(float(np.sum(f ** 2)) for f in layer.filters)
@@ -442,8 +438,9 @@ def fc_loss_grads(layer, batch):
     if batch.shape[0] == 0:
         raise ValueError("fc_loss: empty batch")
     V = _aggregate_rows(batch, layer)
-    recon, dW, da, db, _ = _reconstruction_terms(layer, V)
-    reg, rW, ra, fgrads = _regularized_terms(layer, batch, V)
+    phi, vhat = _up_down(layer, V)
+    recon, dW, da, db, dV = _reconstruction_terms(layer, V, phi, vhat)
+    reg, rW, ra, fgrads = _regularized_terms(layer, batch, V, phi, dV)
     grads = {"W": dW + rW, "a": da + ra, "b": db}
     if layer.n_filters > 0:
         grads["filters"] = fgrads
@@ -458,17 +455,17 @@ def cd_gradients(layer, batch, stream, cd_steps=1):
     Returns (grads dict, mean one-step reconstruction error).
     """
     X, _ = _as_batch(batch, layer.n_visible, "cd_gradients")
-    return _cd_terms(layer, _aggregate_rows(X, layer), stream, cd_steps)
+    V = _aggregate_rows(X, layer)
+    return _cd_terms(layer, V, *_up_down(layer, V), stream, cd_steps)
 
 
-def _cd_terms(layer, V, stream, cd_steps):
-    """cd_gradients on a batch whose filter aggregate V is already built."""
+def _cd_terms(layer, V, phi, vhat, stream, cd_steps):
+    """cd_gradients on a filter aggregate V whose up-down pass is (phi, vhat)."""
     n = V.shape[0]
     scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
     Vs = V / scale if scale is not None else V
 
-    h0 = hidden_given_visible(V, layer)
-    hs = (stream.uniform01(h0.size).reshape(h0.shape) < h0).astype(np.float64)
+    hs = (stream.uniform01(phi.size).reshape(phi.shape) < phi).astype(np.float64)
     vk = V
     for _ in range(cd_steps):
         vk = visible_given_hidden(hs, layer)
@@ -476,14 +473,13 @@ def _cd_terms(layer, V, stream, cd_steps):
         hs = (stream.uniform01(hk.size).reshape(hk.shape) < hk).astype(np.float64)
     vks = vk / scale if scale is not None else vk
 
-    gW = (Vs.T @ h0 - vks.T @ hk) / n
-    ga = (h0 - hk).mean(axis=0)
+    gW = (Vs.T @ phi - vks.T @ hk) / n
+    ga = (phi - hk).mean(axis=0)
     if layer.unit_kind == GAUSSIAN:
         gb = ((V - vk) / layer.sigma ** 2).mean(axis=0)
     else:
         gb = (V - vk).mean(axis=0)
-    recon = float(np.mean((visible_given_hidden(h0, layer) - V) ** 2))
-    return {"W": gW, "a": ga, "b": gb}, recon
+    return {"W": gW, "a": ga, "b": gb}, float(np.mean((vhat - V) ** 2))
 
 
 def cd_train(layer, data, cfg):
@@ -512,8 +508,11 @@ def cd_train(layer, data, cfg):
         errs = []
         for batch in batches:
             V = _aggregate_rows(batch, out)
-            step, recon = _cd_terms(out, V, stream, cfg.cd_steps)
-            _, rW, ra, rfilters = _regularized_terms(out, batch, V)
+            phi, vhat = _up_down(out, V)
+            step, recon = _cd_terms(out, V, phi, vhat, stream, cfg.cd_steps)
+            recon_dV = (_reconstruction_terms(out, V, phi, vhat)[4]
+                        if out.n_filters else None)
+            _, rW, ra, rfilters = _regularized_terms(out, batch, V, phi, recon_dV)
             errs.append(recon)
             vel["W"] = cfg.momentum * vel["W"] + cfg.learning_rate * (step["W"] - rW)
             vel["a"] = cfg.momentum * vel["a"] + cfg.learning_rate * (step["a"] - ra)

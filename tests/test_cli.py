@@ -1,12 +1,16 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcdbn.kvrl
 from fcdbn.cli import run_command
+from fcdbn.config import ConfigError, RunConfig, config_from_dict
 from fcdbn.kvrl import encode_face, extract_regions
-from fcdbn.storage import load_model, load_pgm, read_manifest
+from fcdbn.storage import load_model, load_pgm, read_manifest, save_model
 
 
 def write_config(path, **overrides):
@@ -36,6 +40,14 @@ def write_config(path, **overrides):
     return path
 
 
+CONFIG_KEYS = [f.name for f in fields(RunConfig)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
 def read_bytes_tree(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -61,11 +73,23 @@ class TestCliBasics:
         for key, value in [("momentum", 1.5), ("learning_rate", nan),
                            ("classifier_learning_rate", nan), ("alpha", nan),
                            ("alpha", inf), ("beta", nan), ("beta", inf),
-                           ("learning_rate", inf)]:
+                           ("learning_rate", inf), ("epochs", "3"),
+                           ("stage1_dims", [1024, "a"]), ("seed", 1.5),
+                           ("seed", True), ("n_genuine", 0),
+                           ("gmm_components", 500), ("n_kin", 0)]:
             cfg = write_config(tmp_path / "c.json", **{key: value},
                                output_dir=str(tmp_path / "out"))
             assert run_command(["synth", "--config", str(cfg)]) == 2, (key, value)
             assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=4))
+    def test_config_from_dict_fails_closed(self, data):
+        try:
+            cfg = config_from_dict(data)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -209,6 +233,29 @@ class TestEndToEnd:
         b = (out_b / "roc_plr.csv").read_bytes()
         assert a != b
 
+
+    def test_nan_scores_exit_3_without_eval_csvs(self, tmp_path):
+        # eval-kin retrains the pair head on each fold and never reads the
+        # saved one, so the NaN goes into the top stage-2 layer; with no
+        # classifier epochs the head cannot fail first, and every fold score
+        # is NaN by the time the ROC curve is built
+        out = tmp_path / "run"
+        cfg_path = write_config(
+            tmp_path / "c.json", output_dir=str(out),
+            manifest=str(out / "manifest.csv"),
+            images_dir=str(out / "images"),
+            corpus_dir=str(out / "corpus"),
+            model_in=str(out / "model.json"),
+            families=8, corpus_families=3, epochs=1, classifier_epochs=0,
+        )
+        assert run_command(["synth", "--config", str(cfg_path)]) == 0
+        assert run_command(["train-kin", "--config", str(cfg_path)]) == 0
+        model = load_model(out / "model.json")
+        model.stage2.layers[-1].W[0, 0] = np.nan
+        save_model(model, out / "model.json")
+        assert run_command(["eval-kin", "--config", str(cfg_path)]) == 3
+        for name in ("folds.csv", "relations.csv", "roc.csv"):
+            assert not (out / name).exists(), name
 
 class TestReproducibility:
     def test_fuse_outputs_byte_identical(self, tmp_path):

@@ -215,6 +215,11 @@ class TestRoc:
         with pytest.raises(ValueError):
             roc(np.array([0.1, 0.5]), np.array([1, 1]))
 
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                roc(np.array([bad, 0.3, 0.7]), np.array([1, 0, 1]))
+
     def test_curve_starts_at_origin(self):
         stream = RngStream(seed=4)
         result = roc(stream.uniform01(50), stream.bernoulli(50, 0.5))

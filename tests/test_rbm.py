@@ -431,9 +431,9 @@ class TestFcLoss:
         batch = stream.gaussian(48).reshape(3, 16)
         total = fc_loss(layer, batch)
 
-        from fcdbn.rbm import _aggregate_rows, _reconstruction_terms
+        from fcdbn.rbm import _aggregate_rows, _reconstruction_terms, _up_down
         V = _aggregate_rows(batch, layer)
-        recon = _reconstruction_terms(layer, V)[0]
+        recon = _reconstruction_terms(layer, V, *_up_down(layer, V))[0]
         penalty, _ = contractive_penalty(layer, V)
         decay = sum(np.sum(f ** 2) for f in layer.filters)
         assert abs(total - (recon + 0.1 * penalty + 0.01 * decay)) < 1e-12
@@ -464,7 +464,12 @@ class TestFcLoss:
         batch = stream.gaussian(12 * 42).reshape(12, 42)
         _, grads = fc_loss_grads(layer, batch)
 
-        from fcdbn.rbm import _contractive_terms, _reconstruction_terms
+        from fcdbn.rbm import (
+            _contractive_terms,
+            _reconstruction_terms,
+            _to_visible,
+            _up_down,
+        )
         V = np.empty_like(batch)
         for n, row in enumerate(batch):
             img = row.reshape(6, 7)
@@ -472,7 +477,9 @@ class TestFcLoss:
             for f in layer.filters[1:]:
                 total = total + conv2d_same(img, f)
             V[n] = total.ravel()
-        dV = _reconstruction_terms(layer, V)[4] + 0.1 * _contractive_terms(layer, V)[3]
+        phi, vhat = _up_down(layer, V)
+        dV = (_reconstruction_terms(layer, V, phi, vhat)[4]
+              + 0.1 * _to_visible(layer, _contractive_terms(layer, V, phi)[3]))
         shared = np.zeros((5, 5))
         for x, g in zip(batch, dV):
             shared += conv2d_same_kernel_grad(x.reshape(6, 7), g.reshape(6, 7),
@@ -608,6 +615,30 @@ class TestCdTrain:
             want = getattr(layer, name) + cfg.learning_rate * (
                 cd[name] - layer.alpha * reg[name])
             assert np.array_equal(getattr(trained, name), want), name
+
+    @pytest.mark.parametrize("unit_kind, n_filters, alpha, calls", [
+        (BERNOULLI, 2, 0.1, 4),
+        (GAUSSIAN, 2, 0.1, 2),
+        (BERNOULLI, 0, 0.1, 4),
+        (GAUSSIAN, 0, 0.0, 2),
+    ])
+    def test_one_up_down_pass_per_batch(self, monkeypatch, unit_kind,
+                                        n_filters, alpha, calls):
+        # CD, the contractive penalty and the reconstruction share one
+        # up-down pass, so sigmoid runs only there and along the CD-1 chain
+        import fcdbn.rbm as rbm_module
+
+        seen = []
+        real = rbm_module.sigmoid
+        monkeypatch.setattr(rbm_module, "sigmoid",
+                            lambda x: seen.append(x.shape) or real(x))
+        stream = RngStream(seed=66)
+        layer = init_layer(16, 4, stream, unit_kind=unit_kind,
+                           n_filters=n_filters, alpha=alpha, beta=0.01,
+                           image_shape=(4, 4))
+        data = stream.bernoulli(6 * 16, 0.5).reshape(6, 16)
+        cd_train(layer, data, TrainConfig(epochs=1, batch_size=8, seed=1))
+        assert len(seen) == calls
 
     def test_filtered_training_runs_and_improves(self):
         # aggregated visibles are real-valued, so filtered layers pair with
