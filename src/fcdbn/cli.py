@@ -29,13 +29,7 @@ from .evaluation import (
     stimulus_entropy,
     ztest_proportions,
 )
-from .fusion import (
-    FusionModel,
-    boost_decision,
-    fit_plr_models,
-    svm_fit,
-    synth_score_records,
-)
+from .fusion import fit_fusion, fused_scores, score_arrays, synth_score_records
 from .kvrl import (
     encode_images,
     pretrain_stages,
@@ -264,16 +258,12 @@ def cmd_fuse(cfg):
                                   face_shift=cfg.face_shift,
                                   kin_shift=cfg.kin_shift, n_kin=cfg.n_kin)
     methods = ("plr", "svm") if cfg.fusion_method == "both" else (cfg.fusion_method,)
-    models = FusionModel(
-        plr=(fit_plr_models(records, n_components=cfg.gmm_components,
-                            seed=cfg.seed) if "plr" in methods else None),
-        svm=svm_fit(records) if "svm" in methods else None)
+    models = fit_fusion(records, cfg.gmm_components, cfg.seed, methods)
+    s, k = score_arrays(holdout)
     labels = [r.label for r in holdout]
-    face_scores = [r.s for r in holdout]
-    curves = {"face": roc(face_scores, labels)}
+    curves = {"face": roc(s, labels)}
     for method in methods:
-        fused = [boost_decision(r, method, 0.0, models)[1] for r in holdout]
-        curves[method] = roc(fused, labels)
+        curves[method] = roc(fused_scores(models, method, s, k), labels)
     for name, curve in curves.items():
         _write_csv(os.path.join(out, f"roc_{name}.csv"),
                    ("fpr", "tpr", "threshold"),

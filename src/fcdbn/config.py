@@ -94,7 +94,8 @@ class RunConfig:
             raise ConfigError("classifier_epochs must be >= 0")
         if len(self.stage1_dims) < 2 or len(self.stage2_dims) < 2:
             raise ConfigError("stacks need at least two node counts")
-        if any(d < 1 for d in tuple(self.stage1_dims) + tuple(self.stage2_dims)):
+        if any(d < 1 for d in (*self.stage1_dims, *self.stage2_dims,
+                               *self.classifier_hidden)):
             raise ConfigError("layer widths must be positive")
         if self.stage1_dims[0] != self.region_size ** 2:
             raise ConfigError(
@@ -129,6 +130,9 @@ class RunConfig:
             raise ConfigError("synthetic counts must be >= 1")
         if self.n_kin < 0:
             raise ConfigError("n_kin must be >= 0")
+        # RngStream keeps 64 seed bits; 2**63 leaves room for derived seeds
+        if not 0 <= self.seed < 2 ** 63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
     def region_fractions(self):
         return RegionFractions(eye_rows=tuple(self.eye_rows),

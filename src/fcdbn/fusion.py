@@ -4,6 +4,9 @@ Class-conditional score densities are one-dimensional Gaussian mixtures fit
 by EM. Fused decisions come either from the product of likelihood ratios
 (face genuine/impostor ratio times one kin/non-kin ratio per kin score) or
 from a linear max-margin classifier on a fixed-length score vector.
+
+Scoring runs on arrays (``score_arrays``, then ``fused_scores``); the
+per-record functions are one-row callers of the array code.
 """
 from __future__ import annotations
 
@@ -39,24 +42,29 @@ class GaussianMixture:
     means: np.ndarray
     variances: np.ndarray
     loglik_history: list = field(default_factory=list)
+    converged: bool = False  # EM stopped on tol, not on max_iter
 
     @property
     def n_components(self):
         return len(self.weights)
 
+    @property
+    def n_iter(self):
+        return len(self.loglik_history)
 
-def _component_logpdf(x, means, variances):
+
+def _log_joint(x, weights, means, variances):
+    """Per-component log(weight * density) at each x, and its log-sum-exp."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    return (-0.5 * np.log(2.0 * np.pi * variances)
-            - (x - means) ** 2 / (2.0 * variances))
+    comp = (-0.5 * np.log(2.0 * np.pi * variances)
+            - (x - means) ** 2 / (2.0 * variances)) + np.log(weights)
+    top = comp.max(axis=1, keepdims=True)
+    return comp, top[:, 0] + np.log(np.sum(np.exp(comp - top), axis=1))
 
 
 def gmm_logpdf(model, x):
     """log density under the mixture, stable for far-out points."""
-    comp = _component_logpdf(x, model.means, model.variances)
-    comp = comp + np.log(model.weights)
-    top = comp.max(axis=1, keepdims=True)
-    out = top[:, 0] + np.log(np.sum(np.exp(comp - top), axis=1))
+    out = _log_joint(x, model.weights, model.means, model.variances)[1]
     return out if np.ndim(x) else float(out[0])
 
 
@@ -69,7 +77,7 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-8):
 
     Means start at distinct random samples, variances at the sample
     variance. Iterates until the log-likelihood improves by less than tol
-    or max_iter is hit; variances are floored at 1e-6 throughout.
+    or max_iter is hit (``converged`` says which); variances floored at 1e-6.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 2 * n_components:
@@ -84,10 +92,9 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-8):
     variances = np.full(n_components, var0)
     weights = np.full(n_components, 1.0 / n_components)
     history = []
+    converged = False
     for _ in range(max_iter):
-        comp = _component_logpdf(x, means, variances) + np.log(weights)
-        top = comp.max(axis=1, keepdims=True)
-        norm = top[:, 0] + np.log(np.sum(np.exp(comp - top), axis=1))
+        comp, norm = _log_joint(x, weights, means, variances)
         loglik = float(norm.sum())
         resp = np.exp(comp - norm[:, None])
         nk = resp.sum(axis=0)
@@ -98,9 +105,10 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-8):
         variances = np.maximum(variances, VAR_FLOOR)
         history.append(loglik)
         if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
+            converged = True
             break
     return GaussianMixture(weights=weights, means=means, variances=variances,
-                           loglik_history=history)
+                           loglik_history=history, converged=converged)
 
 
 @dataclass
@@ -113,58 +121,74 @@ class PlrModels:
     k_nonkin: GaussianMixture
 
 
+def score_arrays(records):
+    """Face scores (N,) and kin scores (N, n_kin) of equal-length records."""
+    counts = {len(r.k) for r in records}
+    if len(counts) > 1:
+        raise ValueError(f"records mix kin-score counts {sorted(counts)}")
+    s = np.array([r.s for r in records], dtype=np.float64)
+    k = np.array([r.k for r in records], dtype=np.float64)
+    return s, k.reshape(s.size, max(counts, default=0))
+
+
 def fit_plr_models(records, n_components=2, seed=0):
-    s_gen = [r.s for r in records if r.label == 1]
-    s_imp = [r.s for r in records if r.label == 0]
-    k_kin, k_non = [], []
-    for r in records:
-        kin_labels = r.kin_labels or tuple([r.label] * len(r.k))
-        for value, is_kin in zip(r.k, kin_labels):
-            (k_kin if is_kin else k_non).append(value)
+    s, k = score_arrays(records)
+    label = np.array([r.label for r in records])
+    kin = np.array([r.kin_labels or (r.label,) * len(r.k) for r in records],
+                   dtype=bool).reshape(k.shape)
     return PlrModels(
-        s_genuine=fit_gmm(s_gen, n_components, seed),
-        s_impostor=fit_gmm(s_imp, n_components, seed + 1),
-        k_kin=fit_gmm(k_kin, n_components, seed + 2),
-        k_nonkin=fit_gmm(k_non, n_components, seed + 3),
+        s_genuine=fit_gmm(s[label == 1], n_components, seed),
+        s_impostor=fit_gmm(s[label == 0], n_components, seed + 1),
+        k_kin=fit_gmm(k[kin], n_components, seed + 2),
+        k_nonkin=fit_gmm(k[~kin], n_components, seed + 3),
     )
 
 
-def _floored_logpdf(model, x, diag):
-    value = gmm_logpdf(model, float(x))
-    if value < _LOG_FLOOR:
-        if diag is not None:
-            diag["floor_hits"] = diag.get("floor_hits", 0) + 1
-        return _LOG_FLOOR
-    return value
-
-
-def log_plr_score(rec, models, diag=None):
-    """log of the product of likelihood ratios; additive over kin terms.
+def log_plr_scores(models, s, k, diag=None):
+    """log PLR per row: face log-ratio plus one kin log-ratio per k column.
 
     Densities are floored at 1e-300 so the ratio never divides by zero;
     floor hits are counted in ``diag`` when a dict is passed.
     """
-    total = (_floored_logpdf(models.s_genuine, rec.s, diag)
-             - _floored_logpdf(models.s_impostor, rec.s, diag))
-    for value in rec.k:
-        total += (_floored_logpdf(models.k_kin, value, diag)
-                  - _floored_logpdf(models.k_nonkin, value, diag))
+    def floored(model, x):
+        log = gmm_logpdf(model, x)
+        hits = log < _LOG_FLOOR
+        if diag is not None and hits.any():
+            diag["floor_hits"] = diag.get("floor_hits", 0) + int(hits.sum())
+        return np.where(hits, _LOG_FLOOR, log)
+
+    total = floored(models.s_genuine, s) - floored(models.s_impostor, s)
+    for column in k.T:
+        total = total + (floored(models.k_kin, column)
+                         - floored(models.k_nonkin, column))
     return total
 
 
+def plr_scores(models, s, k, diag=None):
+    """Product of likelihood ratios per row, > 0 and capped to stay finite."""
+    return np.exp(np.minimum(log_plr_scores(models, s, k, diag), 700.0))
+
+
+def log_plr_score(rec, models, diag=None):
+    """log_plr_scores of one record."""
+    return float(log_plr_scores(models, *score_arrays([rec]), diag)[0])
+
+
 def plr_score(rec, models, diag=None):
-    """Product of likelihood ratios, always > 0 (capped to stay finite)."""
-    return float(np.exp(min(log_plr_score(rec, models, diag), 700.0)))
+    """plr_scores of one record."""
+    return float(plr_scores(models, *score_arrays([rec]), diag)[0])
+
+
+def svm_feature_rows(s, k):
+    """Fixed-length score vectors: [s], [s, k], or [s, mean(k), max(k)]."""
+    if k.shape[1] <= 1:
+        return np.column_stack([s, k])
+    return np.column_stack([s, k.mean(axis=1), k.max(axis=1)])
 
 
 def svm_features(rec):
-    """Fixed-length score vector: [s], [s, k], or [s, mean(k), max(k)]."""
-    k = np.asarray(rec.k, dtype=np.float64)
-    if k.size == 0:
-        return np.array([rec.s])
-    if k.size == 1:
-        return np.array([rec.s, float(k[0])])
-    return np.array([rec.s, float(k.mean()), float(k.max())])
+    """svm_feature_rows of one record."""
+    return svm_feature_rows(*score_arrays([rec]))[0]
 
 
 @dataclass
@@ -186,7 +210,7 @@ def svm_fit(records, reg=1e-3, epochs=2000, learning_rate=0.1):
     feature rows yield a degenerate majority-class model (flagged), not an
     error; single-class labels raise.
     """
-    feats = np.stack([svm_features(r) for r in records])
+    feats = svm_feature_rows(*score_arrays(records))
     y = np.array([1.0 if r.label == 1 else -1.0 for r in records])
     if len(np.unique(y)) < 2:
         raise ValueError("degenerate labels: both classes required")
@@ -215,12 +239,18 @@ def svm_fit(records, reg=1e-3, epochs=2000, learning_rate=0.1):
                     margin=float(margins.min()))
 
 
-def svm_decision(model, rec):
-    """Signed distance-like decision value; >= 0 means genuine."""
+def svm_decisions(model, s, k):
+    """Signed distance-like decision value per row; >= 0 means genuine."""
     if model.degenerate:
-        return float(model.majority)
-    x = (svm_features(rec) - model.feat_mean) / model.feat_std
-    return float(x @ model.w + model.b)
+        return np.full(s.size, float(model.majority))
+    x = (svm_feature_rows(s, k) - model.feat_mean) / model.feat_std
+    # vecdot rounds each row like a 1-D dot; a 2-D matmul may not
+    return np.vecdot(x, model.w) + model.b
+
+
+def svm_decision(model, rec):
+    """svm_decisions of one record."""
+    return float(svm_decisions(model, *score_arrays([rec]))[0])
 
 
 @dataclass
@@ -229,10 +259,25 @@ class FusionModel:
     svm: SvmModel = None
 
 
-def fit_fusion(records, n_components=2, seed=0):
-    """Fit both fusion routes on the same training records."""
-    return FusionModel(plr=fit_plr_models(records, n_components, seed),
-                       svm=svm_fit(records))
+def fit_fusion(records, n_components=2, seed=0, methods=("plr", "svm")):
+    """Fit the routes in methods on the same records; the others stay None."""
+    return FusionModel(
+        plr=(fit_plr_models(records, n_components, seed)
+             if "plr" in methods else None),
+        svm=svm_fit(records) if "svm" in methods else None)
+
+
+def fused_scores(models, method, s, k):
+    """Fused score per row; method is "plr" or "svm"."""
+    if method == "plr":
+        if models.plr is None:
+            raise ModelStateError("plr models not fitted")
+        return plr_scores(models.plr, s, k)
+    if method == "svm":
+        if models.svm is None:
+            raise ModelStateError("svm model not fitted")
+        return svm_decisions(models.svm, s, k)
+    raise ValueError(f"unknown fusion method {method!r}")
 
 
 def boost_decision(rec, method, threshold, models):
@@ -241,17 +286,9 @@ def boost_decision(rec, method, threshold, models):
     Returns (accept, fused_score, raw_face_score) so callers can build ROC
     curves from either score. method is "plr" or "svm".
     """
-    if method == "plr":
-        if models.plr is None:
-            raise ModelStateError("plr models not fitted")
-        fused = plr_score(rec, models.plr)
-    elif method == "svm":
-        if models.svm is None:
-            raise ModelStateError("svm model not fitted")
-        fused = svm_decision(models.svm, rec)
-    else:
-        raise ValueError(f"unknown fusion method {method!r}")
-    return fused >= threshold, fused, float(rec.s)
+    return ((fused := float(fused_scores(
+        models, method, *score_arrays([rec]))[0])) >= threshold,
+        fused, float(rec.s))
 
 
 def synth_score_records(seed, n_genuine, n_impostor, face_shift=1.5,

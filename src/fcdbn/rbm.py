@@ -454,6 +454,8 @@ def cd_gradients(layer, batch, stream, cd_steps=1):
     conditional means. Filters have no CD term (see _regularized_terms).
     Returns (grads dict, mean one-step reconstruction error).
     """
+    if cd_steps < 1:
+        raise ValueError(f"cd_steps must be >= 1, got {cd_steps}")
     X, _ = _as_batch(batch, layer.n_visible, "cd_gradients")
     V = _aggregate_rows(X, layer)
     return _cd_terms(layer, V, *_up_down(layer, V), stream, cd_steps)

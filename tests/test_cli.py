@@ -76,7 +76,10 @@ class TestCliBasics:
                            ("learning_rate", inf), ("epochs", "3"),
                            ("stage1_dims", [1024, "a"]), ("seed", 1.5),
                            ("seed", True), ("n_genuine", 0),
-                           ("gmm_components", 500), ("n_kin", 0)]:
+                           ("gmm_components", 500), ("n_kin", 0),
+                           ("classifier_hidden", [-3]),
+                           ("classifier_hidden", [0]), ("seed", 2 ** 70),
+                           ("seed", -1)]:
             cfg = write_config(tmp_path / "c.json", **{key: value},
                                output_dir=str(tmp_path / "out"))
             assert run_command(["synth", "--config", str(cfg)]) == 2, (key, value)

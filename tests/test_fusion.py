@@ -4,6 +4,7 @@ import pytest
 from fcdbn.core import RngStream
 from fcdbn.evaluation import roc
 from fcdbn.fusion import (
+    DENSITY_FLOOR,
     GaussianMixture,
     PlrModels,
     ScoreRecord,
@@ -14,12 +15,17 @@ from fcdbn.fusion import (
     gmm_logpdf,
     gmm_pdf,
     log_plr_score,
+    log_plr_scores,
     plr_score,
+    plr_scores,
+    score_arrays,
     svm_decision,
+    svm_decisions,
     svm_features,
     svm_fit,
     synth_score_records,
 )
+from fcdbn.kvrl import ModelStateError
 
 
 def single_gaussian(mean, var=1.0):
@@ -70,6 +76,24 @@ class TestFitGmm:
         m2 = fit_gmm(samples, 2, seed=7)
         assert np.array_equal(m1.means, m2.means)
         assert np.array_equal(m1.weights, m2.weights)
+
+    def test_default_fuse_fits_stop_at_max_iter(self):
+        # the default tol of 1e-8 is absolute, so the 3,000-sample class
+        # fits run out of iterations, and say so
+        for seed in range(4):
+            models = fit_plr_models(synth_score_records(seed, 1500, 1500),
+                                    n_components=2, seed=seed)
+            for fit in (models.s_genuine, models.s_impostor, models.k_kin,
+                        models.k_nonkin):
+                assert fit.n_iter == 500
+                assert fit.converged is False
+
+    def test_single_component_converges(self):
+        # the first M step lands on the sample moments, so the third
+        # log-likelihood repeats the second
+        model = fit_gmm(RngStream(seed=0).gaussian(500), 1, seed=1)
+        assert model.converged is True
+        assert model.n_iter == 3 == len(model.loglik_history)
 
     def test_logpdf_matches_direct_formula(self):
         model = GaussianMixture(weights=np.array([0.3, 0.7]),
@@ -234,3 +258,89 @@ class TestBoostDecision:
                          for r in test], labels)
             for target in (0.001, 0.01, 0.1):
                 assert fused.tpr_at_fpr[target] >= face.tpr_at_fpr[target]
+
+
+def reference_plr(models, rec):
+    # per-record PLR as scalar log densities, floored, summed and capped
+    def floored(model, x):
+        value = gmm_logpdf(model, float(x))
+        return np.log(DENSITY_FLOOR) if value < np.log(DENSITY_FLOOR) else value
+
+    total = floored(models.s_genuine, rec.s) - floored(models.s_impostor, rec.s)
+    for value in rec.k:
+        total += floored(models.k_kin, value) - floored(models.k_nonkin, value)
+    return float(np.exp(min(total, 700.0)))
+
+
+def reference_svm(model, rec):
+    k = np.asarray(rec.k, dtype=np.float64)
+    feats = [rec.s] + ([] if k.size == 0 else [float(k[0])] if k.size == 1
+                       else [float(k.mean()), float(k.max())])
+    x = (np.array(feats) - model.feat_mean) / model.feat_std
+    return float(np.dot(x, model.w) + model.b)
+
+
+class TestArrayScoring:
+    @pytest.mark.parametrize("n_kin", [0, 1, 2, 3])
+    def test_array_scores_equal_per_record_reference(self, n_kin):
+        plr = fit_plr_models(synth_score_records(40, 200, 200), seed=40)
+        train = synth_score_records(41, 200, 200, n_kin=n_kin)
+        test = synth_score_records(42, 1500, 1500, n_kin=n_kin)
+        svm = svm_fit(train)
+        s, k = score_arrays(test)
+        assert s.shape == (3000,) and k.shape == (3000, n_kin)
+        assert np.array_equal(plr_scores(plr, s, k),
+                              [reference_plr(plr, r) for r in test])
+        assert np.array_equal(svm_decisions(svm, s, k),
+                              [reference_svm(svm, r) for r in test])
+
+    def test_floor_hits_counted_per_value(self):
+        models = TestPlr().reference_models()
+        records = [ScoreRecord(s=-60.0, k=(55.0,)), ScoreRecord(s=0.1, k=(0.2,)),
+                   ScoreRecord(s=40.0, k=(-50.0,))]
+        per_record = {}
+        for rec in records:
+            log_plr_score(rec, models, per_record)
+        batched = {}
+        log_plr_scores(models, *score_arrays(records), batched)
+        assert batched == per_record
+        assert batched["floor_hits"] >= 2
+
+    def test_ragged_kin_scores_rejected(self):
+        records = [ScoreRecord(s=0.1, k=(0.2,), label=1),
+                   ScoreRecord(s=0.3, k=(0.4, 0.5), label=0)]
+        with pytest.raises(ValueError):
+            score_arrays(records)
+        with pytest.raises(ValueError):
+            svm_fit(records)
+
+    def test_plr_pools_samples_in_record_order(self):
+        # kin labels that disagree with the face label pool by kin label
+        stream = RngStream(seed=43)
+        records = [ScoreRecord(s=float(v[0]), k=(float(v[1]), float(v[2])),
+                               label=i % 2,
+                               kin_labels=(i % 3 == 0, (i + 1) % 2))
+                   for i, v in enumerate(stream.gaussian(90).reshape(30, 3))]
+        models = fit_plr_models(records, n_components=2, seed=44)
+        kin = [v for r in records for v, is_kin in zip(r.k, r.kin_labels)
+               if is_kin]
+        nonkin = [v for r in records for v, is_kin in zip(r.k, r.kin_labels)
+                  if not is_kin]
+        for fit, samples, seed in ((models.s_genuine,
+                                    [r.s for r in records if r.label == 1], 44),
+                                   (models.k_kin, kin, 46),
+                                   (models.k_nonkin, nonkin, 47)):
+            want = fit_gmm(samples, 2, seed=seed)
+            assert np.array_equal(fit.means, want.means)
+            assert np.array_equal(fit.variances, want.variances)
+
+    def test_fit_fusion_leaves_unnamed_routes_unfitted(self):
+        records = synth_score_records(45, 100, 100)
+        models = fit_fusion(records, methods=("svm",))
+        assert models.plr is None
+        assert models.svm is not None
+        rec = records[0]
+        assert boost_decision(rec, "svm", 0.0, models)[1] == \
+            svm_decision(models.svm, rec)
+        with pytest.raises(ModelStateError):
+            boost_decision(rec, "plr", 0.0, models)

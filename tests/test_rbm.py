@@ -574,6 +574,13 @@ class TestCdTrain:
                 hits += 1
         assert hits >= int(0.9 * trials)
 
+    @pytest.mark.parametrize("cd_steps", [0, -1])
+    def test_cd_gradients_rejects_non_positive_steps(self, cd_steps):
+        layer = init_layer(4, 3, RngStream(seed=1))
+        with pytest.raises(ValueError, match="cd_steps"):
+            cd_gradients(layer, np.ones((2, 4)), RngStream(seed=2),
+                         cd_steps=cd_steps)
+
     def test_divergence_raises_with_epoch(self):
         stream = RngStream(seed=63)
         layer = init_layer(6, 3, stream, unit_kind=GAUSSIAN)
