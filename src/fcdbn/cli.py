@@ -190,9 +190,8 @@ def cmd_eval_kin(cfg):
     plan = make_folds(positives, seed=cfg.seed)
     _, image = _load_pair_images(cfg, pairs)
     # negatives are drawn from the positives' images, so this covers every
-    # image a fold scores; each is encoded once per run
-    paths = list(dict.fromkeys(path for p in positives
-                               for path in (p.path_a, p.path_b)))
+    # image a fold scores; encode_images encodes each distinct one once
+    paths = [path for p in positives for path in (p.path_a, p.path_b)]
     codes = encode_images(model, [image(path) for path in paths])
     embeddings = dict(zip(paths, codes))
 

@@ -111,6 +111,13 @@ class RunConfig:
         for name in self.regions:
             if name not in self._KNOWN_REGIONS:
                 raise ConfigError(f"unknown region {name!r}")
+        # stage 2 reads the stage-1 codes of every region side by side
+        width = len(self.regions) * self.stage1_dims[-1]
+        if self.stage2_dims[0] != width:
+            raise ConfigError(
+                f"stage2_dims[0]={self.stage2_dims[0]} must equal "
+                f"len(regions) * stage1_dims[-1]={width}"
+            )
         for frac in (self.eye_rows, self.nose_rows, self.nose_cols, self.chin_rows):
             if len(frac) != 2 or not 0.0 <= frac[0] < frac[1] <= 1.0:
                 raise ConfigError(f"bad fractional range {frac}")

@@ -75,7 +75,9 @@ def greedy_pretrain(dims, data, cfg, fc=None):
     dims[0] must match the data width. Layer i is trained on the hidden
     probabilities produced by the already-trained layers below it. Only the
     first layer may carry filters or Gaussian units (per ``fc``); the
-    contractive weight fc.alpha applies to every layer.
+    contractive weight fc.alpha applies to every layer. Returns
+    ``(stack, codes)``: ``codes`` are the top layer's hidden probabilities
+    for ``data``, the rows ``encode(stack, data)`` gives.
     """
     fc = fc or FcOptions()
     data = np.asarray(data, dtype=np.float64)
@@ -108,7 +110,7 @@ def greedy_pretrain(dims, data, cfg, fc=None):
             raise DivergenceError(exc.epoch, f"layer {i}: {exc}") from exc
         layers.append(layer)
         x = hidden_given_visible(_aggregate_rows(x, layer), layer)
-    return DbnStack(layers=layers)
+    return DbnStack(layers=layers), x
 
 
 def encode(stack, v):
@@ -137,6 +139,13 @@ class MlpModel:
         for r in (self.dropout_input, self.dropout_hidden):
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"dropout rate must be in [0, 1), got {r}")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError("classifier needs one bias per weight matrix")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2 or b.shape != (w.shape[1],):
+                raise ValueError(f"classifier layer {i} dims inconsistent")
+            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+                raise ValueError(f"classifier layer {i} width mismatch")
         if self.weights[-1].shape[1] != 1:
             raise ValueError("final layer must have one output unit")
 

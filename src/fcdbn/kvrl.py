@@ -7,10 +7,11 @@ by a second-stage stack, and a small classifier scores pairs of fused codes
 as kin / non-kin. Scoring is symmetrized so argument order never matters.
 
 Every image-to-code step goes through ``encode_images`` (regions cut with
-the model's own geometry and extras), every pair feature through
-``pair_features`` and every pair score through ``score_pairs``; training,
-``kin_score`` and the CLI are callers of these three. Labeled code pairs
-become a trained classifier only in ``train_pair_classifier``.
+the model's own geometry and extras; each distinct image encoded once),
+every pair feature through ``pair_features`` and every pair score through
+``score_pairs``; training, ``kin_score`` and the CLI are callers of these
+three. Labeled code pairs become a trained classifier only in
+``train_pair_classifier``.
 """
 from __future__ import annotations
 
@@ -202,15 +203,24 @@ def _extras(regions):
 def encode_images(model, images):
     """Codes for aligned 64x64 faces, one row per image: shape (N, d).
 
-    Regions are cut with the model's own fractions, size and extras. Each
-    row is ``encode_face`` of one image; batching the stacks through one
-    GEMM changes the rounding of codes and trained weights, so it is left
-    to a change that owns that drift.
+    Regions are cut with the model's own fractions, size and extras. This
+    is where each distinct image (same dtype, shape and bytes) is encoded
+    once; repeats get a copy of its row, in input order. Each row is
+    ``encode_face`` of one image; batching the stacks through one GEMM
+    changes the rounding of codes and trained weights, so it is left to a
+    change that owns that drift.
     """
     extras = _extras(model.regions)
-    return np.stack([encode_face(model, extract_regions(
-        img, model.fractions, model.region_size, extras=extras))
-        for img in images])
+    index, distinct, rows = {}, [], []
+    for img in images:
+        img = np.asarray(img)
+        key = (img.dtype.str, img.shape, img.tobytes())
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(encode_face(model, extract_regions(
+                img, model.fractions, model.region_size, extras=extras)))
+        rows.append(index[key])
+    return np.stack(distinct)[rows]
 
 
 def pair_features(codes_a, codes_b):
@@ -265,26 +275,17 @@ def pretrain_stages(pretrain_corpus, cfg):
                    alpha=cfg.alpha, beta=cfg.beta,
                    first_layer_gaussian=cfg.first_layer_gaussian,
                    image_shape=(size, size))
-    stage1 = {}
+    stage1, stage1_codes = {}, []
     for idx, name in enumerate(cfg.regions):
         x = np.stack([rs.get(name).ravel() for rs in corpus_regions])
         rbm_cfg = cfg.rbm_config(seed_offset=idx)
-        stage1[name] = greedy_pretrain(list(cfg.stage1_dims), x, rbm_cfg, fc)
+        stage1[name], codes = greedy_pretrain(list(cfg.stage1_dims), x,
+                                              rbm_cfg, fc)
+        stage1_codes.append(codes)
 
-    stage1_codes = np.hstack([
-        encode(stage1[name], np.stack([rs.get(name).ravel()
-                                       for rs in corpus_regions]))
-        for name in cfg.regions
-    ])
-    stage2_dims = list(cfg.stage2_dims)
-    if stage2_dims[0] != stage1_codes.shape[1]:
-        raise ValueError(
-            f"stage2_dims[0]={stage2_dims[0]} != concatenated stage-1 "
-            f"width {stage1_codes.shape[1]}"
-        )
     stage2_fc = FcOptions(alpha=cfg.alpha)  # fusion stack: contractive only
-    stage2 = greedy_pretrain(stage2_dims, stage1_codes,
-                             cfg.rbm_config(seed_offset=100), stage2_fc)
+    stage2, _ = greedy_pretrain(list(cfg.stage2_dims), np.hstack(stage1_codes),
+                                cfg.rbm_config(seed_offset=100), stage2_fc)
 
     model = KvrlModel(stage1=stage1, stage2=stage2, classifier=None,
                       regions=tuple(cfg.regions), fractions=fractions,
@@ -306,21 +307,12 @@ def train_kvrl(pretrain_corpus, kin_pairs, cfg):
         raise ValueError("empty kin pair list")
     model = pretrain_stages(pretrain_corpus, cfg)
 
-    # encode_face is pure, so each distinct image is encoded once
-    index, distinct, rows_a, rows_b = {}, [], [], []
-    for img_a, img_b, _ in kin_pairs:
-        for img, rows in ((img_a, rows_a), (img_b, rows_b)):
-            img = np.asarray(img)
-            key = (img.dtype.str, img.shape, img.tobytes())
-            if key not in index:
-                index[key] = len(distinct)
-                distinct.append(img)
-            rows.append(index[key])
-    codes = encode_images(model, distinct)
+    n = len(kin_pairs)
+    codes = encode_images(model, [a for a, _, _ in kin_pairs]
+                          + [b for _, b, _ in kin_pairs])
     if cfg.classifier_epochs > 0:
         classifier = train_pair_classifier(
-            codes[rows_a], codes[rows_b],
-            [label for _, _, label in kin_pairs], cfg)
+            codes[:n], codes[n:], [label for _, _, label in kin_pairs], cfg)
     else:
         arch = [2 * codes.shape[1]] + list(cfg.classifier_hidden) + [1]
         classifier = mlp_init(arch, RngStream(seed=cfg.seed).child(7),

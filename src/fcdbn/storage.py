@@ -5,7 +5,8 @@ target's directory, then a rename) so failed commands never leave partial
 artifacts behind. A model document is JSON; each weight array in it is an
 object ``{"shape": [...], "f8": <base64 of little-endian float64>}``, which
 round-trips exactly. Version 1 documents, which hold arrays as nested lists
-of decimal numbers, still load.
+of decimal numbers, still load. Loading fails closed: a non-finite weight,
+a dropout rate outside [0, 1) or a mixture variance <= 0 is rejected.
 """
 from __future__ import annotations
 
@@ -96,10 +97,12 @@ def load_pgm(path, size=64):
     for _ in range(3):
         token, pos = _next_token(data, pos)
         try:
-            fields.append(int(token))
+            if not token.isdigit():  # int() also takes a sign and "_"
+                raise ValueError
+            fields.append(int(token))  # over 4300 digits, int() raises
         except ValueError:
-            raise PgmParseError(
-                f"non-numeric header field {token!r} at byte {pos}") from None
+            raise PgmParseError(f"non-numeric header field {token[:16]!r} "
+                                f"at byte {pos}") from None
     width, height, maxval = fields
     if maxval != 255:
         raise PgmParseError(f"only 8-bit PGM supported, maxval={maxval}")
@@ -138,9 +141,18 @@ def _arr(a):
 
 
 def _from_arr(x):
-    """Decode an array saved by ``_arr``, or a version-1 nested list."""
-    if isinstance(x, list):
-        return np.array(x, dtype=np.float64)
+    """Decode an array saved by ``_arr``, or a version-1 nested list.
+
+    Either way, a NaN or infinite value raises ``ModelFormatError``.
+    """
+    a = np.array(x, dtype=np.float64) if isinstance(x, list) else _decode_f8(x)
+    if not np.isfinite(a).all():
+        raise ModelFormatError("array holds non-finite values")
+    return a
+
+
+def _decode_f8(x):
+    """The array of a version-2 ``{"shape": [...], "f8": ...}`` object."""
     if not isinstance(x, dict):
         raise ModelFormatError(f"array must be an object, got {type(x).__name__}")
     shape, f8 = x.get("shape"), x.get("f8")
@@ -226,11 +238,10 @@ def _mlp_from_doc(doc):
         dropout_input=float(doc["dropout_input"]),
         dropout_hidden=float(doc["dropout_hidden"]),
     )
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if w.ndim != 2 or b.shape != (w.shape[1],):
-            raise ModelFormatError(f"classifier layer {i} dims inconsistent")
-        if i > 0 and mlp.weights[i - 1].shape[1] != w.shape[0]:
-            raise ModelFormatError(f"classifier layer {i} width mismatch")
+    try:
+        mlp.validate()
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
     return mlp
 
 
@@ -245,6 +256,9 @@ def _gmm_from_doc(doc):
                         variances=_from_arr(doc["variances"]))
     if not (g.weights.shape == g.means.shape == g.variances.shape):
         raise ModelFormatError("mixture component arrays differ in length")
+    if (g.variances <= 0).any() or (g.weights < 0).any():
+        raise ModelFormatError(
+            "mixture variances must be > 0 and weights >= 0")
     return g
 
 
@@ -343,13 +357,16 @@ def _model_from_doc(doc):
                          k_kin=_gmm_from_doc(payload["k_kin"]),
                          k_nonkin=_gmm_from_doc(payload["k_nonkin"]))
     if kind == "svm":
-        return SvmModel(w=_from_arr(payload["w"]),
-                        b=float(payload["b"]),
-                        feat_mean=_from_arr(payload["feat_mean"]),
-                        feat_std=_from_arr(payload["feat_std"]),
-                        degenerate=bool(payload["degenerate"]),
-                        majority=int(payload["majority"]),
-                        margin=float(payload["margin"]))
+        model = SvmModel(w=_from_arr(payload["w"]),
+                         b=float(payload["b"]),
+                         feat_mean=_from_arr(payload["feat_mean"]),
+                         feat_std=_from_arr(payload["feat_std"]),
+                         degenerate=bool(payload["degenerate"]),
+                         majority=int(payload["majority"]),
+                         margin=float(payload["margin"]))
+        if not (math.isfinite(model.b) and math.isfinite(model.margin)):
+            raise ModelFormatError("svm b and margin must be finite")
+        return model
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 

@@ -20,7 +20,12 @@ from fcdbn.evaluation import (
     roc,
     stimulus_entropy,
 )
-from fcdbn.fusion import boost_decision, fit_fusion, synth_score_records
+from fcdbn.fusion import (
+    fit_fusion,
+    fused_scores,
+    score_arrays,
+    synth_score_records,
+)
 from fcdbn.kvrl import encode_face, extract_regions, kin_score, pretrain_stages, train_kvrl
 from fcdbn.rbm import (
     GAUSSIAN,
@@ -221,11 +226,10 @@ def test_c07_fusion_boost():
                                    kin_shift=1.8)
         models = fit_fusion(train, n_components=2, seed=seed)
         labels = [r.label for r in test]
-        face = roc([r.s for r in test], labels).tpr_at_fpr[0.01]
-        plr = roc([boost_decision(r, "plr", 0.0, models)[1] for r in test],
-                  labels).tpr_at_fpr[0.01]
-        svm = roc([boost_decision(r, "svm", 0.0, models)[1] for r in test],
-                  labels).tpr_at_fpr[0.01]
+        s, k = score_arrays(test)
+        face = roc(s, labels).tpr_at_fpr[0.01]
+        plr = roc(fused_scores(models, "plr", s, k), labels).tpr_at_fpr[0.01]
+        svm = roc(fused_scores(models, "svm", s, k), labels).tpr_at_fpr[0.01]
         plr_ok = plr_ok and plr >= face
         svm_ok = svm_ok and svm >= face
         plr_wins += plr > face

@@ -79,7 +79,8 @@ class TestCliBasics:
                            ("gmm_components", 500), ("n_kin", 0),
                            ("classifier_hidden", [-3]),
                            ("classifier_hidden", [0]), ("seed", 2 ** 70),
-                           ("seed", -1)]:
+                           ("seed", -1), ("stage2_dims", [20, 12, 8]),
+                           ("regions", ["face"])]:
             cfg = write_config(tmp_path / "c.json", **{key: value},
                                output_dir=str(tmp_path / "out"))
             assert run_command(["synth", "--config", str(cfg)]) == 2, (key, value)
@@ -238,10 +239,9 @@ class TestEndToEnd:
 
 
     def test_nan_scores_exit_3_without_eval_csvs(self, tmp_path):
-        # eval-kin retrains the pair head on each fold and never reads the
-        # saved one, so the NaN goes into the top stage-2 layer; with no
-        # classifier epochs the head cannot fail first, and every fold score
-        # is NaN by the time the ROC curve is built
+        # a NaN weight in the top stage-2 layer: loading the model rejects
+        # it, so eval-kin fails before it encodes or scores anything (the
+        # ROC curve's own NaN check is tested in test_evaluation)
         out = tmp_path / "run"
         cfg_path = write_config(
             tmp_path / "c.json", output_dir=str(out),

@@ -37,7 +37,7 @@ class TestGreedyPretrain:
     def test_constant_data_propagates_constant_activations(self):
         data = np.full((12, 16), 0.7)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=0)
-        stack = greedy_pretrain([16, 8], data, cfg)
+        stack, _ = greedy_pretrain([16, 8], data, cfg)
         codes = encode(stack, data)
         # every sample identical input -> identical code rows
         assert np.max(np.abs(codes - codes[0])) == 0.0
@@ -46,14 +46,14 @@ class TestGreedyPretrain:
     def test_stage_one_shape_accepted(self):
         data = RngStream(seed=1).uniform01(6 * 1024).reshape(6, 1024)
         cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=6, seed=0)
-        stack = greedy_pretrain([1024, 512, 512], data, cfg)
+        stack, _ = greedy_pretrain([1024, 512, 512], data, cfg)
         assert stack.layer_dims == [1024, 512, 512]
         stack.validate()
 
     def test_stage_two_shape_accepted(self):
         data = RngStream(seed=2).uniform01(6 * 1536).reshape(6, 1536)
         cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=6, seed=0)
-        stack = greedy_pretrain([1536, 1024, 512], data, cfg)
+        stack, _ = greedy_pretrain([1536, 1024, 512], data, cfg)
         assert stack.layer_dims == [1536, 1024, 512]
         stack.validate()
 
@@ -69,11 +69,20 @@ class TestGreedyPretrain:
         cfg = TrainConfig(learning_rate=0.02, epochs=2, batch_size=10, seed=0)
         fc = FcOptions(n_filters=2, filter_size=3, alpha=0.05, beta=1e-4,
                        first_layer_gaussian=True, image_shape=(6, 6))
-        stack = greedy_pretrain([36, 12, 6], data, cfg, fc)
+        stack, _ = greedy_pretrain([36, 12, 6], data, cfg, fc)
         assert stack.layers[0].n_filters == 2
         assert stack.layers[0].unit_kind == GAUSSIAN
         assert stack.layers[1].n_filters == 0
         stack.validate()
+
+    @pytest.mark.parametrize("n_filters,gaussian", [(2, True), (0, False)])
+    def test_returns_the_top_codes_encode_gives(self, n_filters, gaussian):
+        data = RngStream(seed=7).uniform01(20 * 36).reshape(20, 36)
+        cfg = TrainConfig(learning_rate=0.02, epochs=2, batch_size=10, seed=0)
+        fc = FcOptions(n_filters=n_filters, alpha=0.05, beta=1e-4,
+                       first_layer_gaussian=gaussian, image_shape=(6, 6))
+        stack, codes = greedy_pretrain([36, 12, 6], data, cfg, fc)
+        assert np.array_equal(codes, encode(stack, data))
 
 
 class TestEncode:
@@ -86,7 +95,7 @@ class TestEncode:
         stream = RngStream(seed=4)
         data = stream.uniform01(8 * 12).reshape(8, 12)
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=4, seed=0)
-        stack = greedy_pretrain([12, 6], data, cfg)
+        stack, _ = greedy_pretrain([12, 6], data, cfg)
         v = stream.uniform01(12)
         assert np.array_equal(encode(stack, v), encode(stack, v))
 
@@ -94,7 +103,7 @@ class TestEncode:
         stream = RngStream(seed=5)
         data = stream.uniform01(8 * 12).reshape(8, 12)
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=4, seed=0)
-        stack = greedy_pretrain([12, 6], data, cfg)
+        stack, _ = greedy_pretrain([12, 6], data, cfg)
         v = stream.uniform01(12)
         direct = hidden_given_visible(v, stack.layers[0])
         assert np.max(np.abs(encode(stack, v) - direct)) < 1e-15
@@ -103,7 +112,7 @@ class TestEncode:
         stream = RngStream(seed=6)
         data = stream.uniform01(8 * 12).reshape(8, 12)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=0)
-        stack = greedy_pretrain([12, 6, 4], data, cfg)
+        stack, _ = greedy_pretrain([12, 6, 4], data, cfg)
         out = encode(stack, stream.uniform01(12))
         assert np.all(out > 0.0) and np.all(out < 1.0)
 

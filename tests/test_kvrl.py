@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fcdbn.kvrl
 from fcdbn.config import RunConfig
 from fcdbn.core import RngStream
 from fcdbn.deepnet import encode
@@ -146,6 +147,28 @@ class TestEncodeImages:
             expected = encode_face(model, extract_regions(
                 img, model.fractions, model.region_size, extras=extras))
             assert np.array_equal(row, expected)
+
+    def test_each_distinct_image_encoded_once(self, monkeypatch):
+        stream = RngStream(seed=13)
+        corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(4)]
+        model = pretrain_stages(corpus, tiny_config(epochs=1))
+        calls = []
+        real = fcdbn.kvrl.encode_face
+
+        def counting(m, regions):
+            calls.append(regions)
+            return real(m, regions)
+
+        images = [corpus[2], corpus[0], corpus[2].copy(), corpus[1],
+                  corpus[0], corpus[0].astype(np.float32)]
+        expected = np.stack([real(model, extract_regions(img))
+                             for img in images])
+        monkeypatch.setattr(fcdbn.kvrl, "encode_face", counting)
+        codes = encode_images(model, images)
+        # three distinct float64 images, plus the float32 copy of corpus[0]:
+        # its dtype and bytes differ, so it is keyed as a fourth image
+        assert len(calls) == 4
+        assert np.array_equal(codes, expected)
 
 
 class TestPairFeature:

@@ -36,6 +36,9 @@ from fcdbn.storage import (
 )
 
 
+VALID_PGM = b"P5\n# c\n64 64\n255\n" + bytes(range(256)) * 16
+
+
 class TestPgm:
     def test_all_zero_image(self, tmp_path):
         path = tmp_path / "zero.pgm"
@@ -80,6 +83,37 @@ class TestPgm:
         path.write_bytes(b"P5\n64 64\n255\n" + bytes(100))
         with pytest.raises(PgmParseError, match="byte"):
             load_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n+64 64\n255\n",
+                                        b"P5\n64 64\n2_55\n"],
+                             ids=["signed", "underscore"])
+    def test_header_fields_are_decimal_digits(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(64 * 64))
+        with pytest.raises(PgmParseError, match="non-numeric"):
+            load_pgm(path)
+
+    def test_bad_header_field_echo_is_short(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"x" * 4000 + b" 64\n255\n")
+        with pytest.raises(PgmParseError) as info:
+            load_pgm(path)
+        assert len(str(info.value)) < 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=32).map(lambda b: b"P5\n" + b),
+        st.integers(0, len(VALID_PGM)).map(lambda n: VALID_PGM[:n])))
+    def test_any_bytes_load_or_raise_parse_error(self, tmp_path_factory,
+                                                 data):
+        path = tmp_path_factory.mktemp("fuzz") / "f.pgm"
+        path.write_bytes(data)
+        try:
+            img = load_pgm(path)
+        except PgmParseError:
+            return
+        assert img.shape == (64, 64)
 
     def test_save_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError):
@@ -236,7 +270,9 @@ def write_doc(doc, path):
     return path
 
 
-SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 5e-324)
+# finite values whose bits a decimal or base64 round trip could lose
+SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+                  np.finfo(np.float64).tiny)
 
 
 class TestModelFormat:
@@ -286,25 +322,29 @@ class TestModelFormat:
             assert resaved.read_bytes() == v2.read_bytes()
 
     @pytest.mark.parametrize("mutate", [
-        lambda w: w.update(f8="!!" + w["f8"][2:]),
-        lambda w: w.update(f8=w["f8"][:-4]),
-        lambda w: w.update(f8=base64.b64encode(
-            base64.b64decode(w["f8"])[:-8]).decode()),
-        lambda w: w.update(shape=[-9, -4]),
-        lambda w: w.update(shape=[9.0, 4]),
-        lambda w: w.update(shape=["9", 4]),
-        lambda w: w.update(shape=[True, 36]),
-        lambda w: w.update(shape=36),
-        lambda w: w.pop("f8"),
-        lambda w: w.pop("shape"),
-        lambda w: w.update(f8=None),
-        lambda w: w.clear(),
+        lambda l: l["W"].update(f8="!!" + l["W"]["f8"][2:]),
+        lambda l: l["W"].update(f8=l["W"]["f8"][:-4]),
+        lambda l: l["W"].update(f8=base64.b64encode(
+            base64.b64decode(l["W"]["f8"])[:-8]).decode()),
+        lambda l: l["W"].update(shape=[-9, -4]),
+        lambda l: l["W"].update(shape=[9.0, 4]),
+        lambda l: l["W"].update(shape=["9", 4]),
+        lambda l: l["W"].update(shape=[True, 36]),
+        lambda l: l["W"].update(shape=36),
+        lambda l: l["W"].pop("f8"),
+        lambda l: l["W"].pop("shape"),
+        lambda l: l["W"].update(f8=None),
+        lambda l: l["W"].clear(),
+        lambda l: l.update(W=storage._arr(np.full((9, 4), np.nan))),
+        lambda l: l.update(W=storage._arr(np.full((9, 4), -np.inf))),
+        lambda l: l.update(W=[[1.0] * 4] * 8 + [[1.0, 1.0, np.nan, 1.0]]),
     ], ids=["bad-base64", "cut-padding", "short-f8", "negative-shape",
             "float-shape", "string-shape", "bool-shape", "scalar-shape",
-            "missing-f8", "missing-shape", "null-f8", "empty-object"])
+            "missing-f8", "missing-shape", "null-f8", "empty-object",
+            "nan-f8", "inf-f8", "v1-nan"])
     def test_malformed_array_rejected(self, tmp_path, mutate):
         doc = saved_doc(hand_model(), tmp_path / "m.json")
-        mutate(doc["payload"]["stage2"]["layers"][0]["W"])
+        mutate(doc["payload"]["stage2"]["layers"][0])
         with pytest.raises(ModelFormatError):
             load_model(write_doc(doc, tmp_path / "bad.json"))
 
@@ -365,6 +405,31 @@ class TestModelFormat:
     def test_invalid_layer_rejected(self, tmp_path, mutate):
         doc = saved_doc(hand_model(), tmp_path / "m.json")
         mutate(doc["payload"]["stage1"]["face"]["layers"][0])
+        with pytest.raises(ModelFormatError):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+    @pytest.mark.parametrize("model,mutate", [
+        ("kvrl", lambda p: p["classifier"].update(dropout_input=1.5)),
+        ("kvrl", lambda p: p["classifier"].update(dropout_input=np.nan)),
+        ("kvrl", lambda p: p["classifier"].update(dropout_hidden=-0.1)),
+        ("kvrl", lambda p: p["classifier"]["biases"].pop()),
+        ("plr", lambda p: p["k_kin"].update(
+            variances=storage._arr([-1.0, 1.0]))),
+        ("plr", lambda p: p["s_genuine"].update(
+            variances=storage._arr([0.0, 1.0]))),
+        ("plr", lambda p: p["s_impostor"].update(
+            weights=storage._arr([-0.5, 1.5]))),
+        ("svm", lambda p: p.update(b=np.nan)),
+        ("svm", lambda p: p.update(margin=np.inf)),
+    ], ids=["dropout-above-1", "nan-dropout", "negative-dropout",
+            "missing-bias", "negative-variance", "zero-variance",
+            "negative-weight", "nan-svm-b", "inf-svm-margin"])
+    def test_out_of_range_value_rejected(self, tmp_path, model, mutate):
+        fused = fit_fusion(synth_score_records(1, 60, 60), n_components=2,
+                           seed=1)
+        models = {"kvrl": hand_model(), "plr": fused.plr, "svm": fused.svm}
+        doc = saved_doc(models[model], tmp_path / "m.json")
+        mutate(doc["payload"])
         with pytest.raises(ModelFormatError):
             load_model(write_doc(doc, tmp_path / "bad.json"))
 
