@@ -29,16 +29,16 @@ from .fusion import (
     FusionModel,
     GaussianMixture,
     PlrModels,
-    ScoreRecord,
+    ScoreSet,
     SvmModel,
     boost_decision,
     fit_fusion,
     fit_gmm,
     fit_plr_models,
-    log_plr_score,
-    plr_score,
+    log_plr_scores,
+    plr_scores,
     svm_fit,
-    synth_score_records,
+    synth_scores,
 )
 from .kvrl import (
     KvrlModel,

@@ -29,7 +29,7 @@ from .evaluation import (
     stimulus_entropy,
     ztest_proportions,
 )
-from .fusion import fit_fusion, fused_scores, score_arrays, synth_score_records
+from .fusion import fit_fusion, fused_scores, synth_scores
 from .kvrl import (
     encode_images,
     pretrain_stages,
@@ -250,16 +250,13 @@ def cmd_encode(cfg):
 
 def cmd_fuse(cfg):
     out = _ensure_outdir(cfg)
-    records = synth_score_records(cfg.seed, cfg.n_genuine, cfg.n_impostor,
-                                  face_shift=cfg.face_shift,
-                                  kin_shift=cfg.kin_shift, n_kin=cfg.n_kin)
-    holdout = synth_score_records(cfg.seed + 1, cfg.n_genuine, cfg.n_impostor,
-                                  face_shift=cfg.face_shift,
-                                  kin_shift=cfg.kin_shift, n_kin=cfg.n_kin)
+    train, holdout = (synth_scores(seed, cfg.n_genuine, cfg.n_impostor,
+                                   face_shift=cfg.face_shift,
+                                   kin_shift=cfg.kin_shift, n_kin=cfg.n_kin)
+                      for seed in (cfg.seed, cfg.seed + 1))
     methods = ("plr", "svm") if cfg.fusion_method == "both" else (cfg.fusion_method,)
-    models = fit_fusion(records, cfg.gmm_components, cfg.seed, methods)
-    s, k = score_arrays(holdout)
-    labels = [r.label for r in holdout]
+    models = fit_fusion(train, cfg.gmm_components, cfg.seed, methods)
+    s, k, labels = holdout.s, holdout.k, holdout.label
     curves = {"face": roc(s, labels)}
     for method in methods:
         curves[method] = roc(fused_scores(models, method, s, k), labels)

@@ -14,7 +14,7 @@ them, so the backprop that trains is the backprop the gradient checks test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .rbm import (
     BERNOULLI,
     GAUSSIAN,
     DivergenceError,
-    TrainConfig,
     _aggregate_rows,
     cd_train,
     hidden_given_visible,
@@ -99,11 +98,7 @@ def greedy_pretrain(dims, data, cfg, fc=None):
             beta=fc.beta if first else 0.0,
             image_shape=fc.image_shape if first else None,
         )
-        layer_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-            batch_size=cfg.batch_size, cd_steps=cfg.cd_steps,
-            momentum=cfg.momentum, seed=stream.child(1000 + i).seed,
-        )
+        layer_cfg = replace(cfg, seed=stream.child(1000 + i).seed)
         try:
             layer, _ = cd_train(layer, x, layer_cfg)
         except DivergenceError as exc:

@@ -5,8 +5,8 @@ by EM. Fused decisions come either from the product of likelihood ratios
 (face genuine/impostor ratio times one kin/non-kin ratio per kin score) or
 from a linear max-margin classifier on a fixed-length score vector.
 
-Scoring runs on arrays (``score_arrays``, then ``fused_scores``); the
-per-record functions are one-row callers of the array code.
+Trials travel as one array bundle, ``ScoreSet``: fitting reads it, and
+scoring takes its face-score vector and kin-score matrix (``fused_scores``).
 """
 from __future__ import annotations
 
@@ -23,17 +23,39 @@ VAR_FLOOR = 1e-6
 
 
 @dataclass
-class ScoreRecord:
-    """One probe/gallery trial: face score s plus kin scores k_1..k_N.
+class ScoreSet:
+    """N trials as arrays: face scores s (N,), kin scores k (N, n_kin).
 
-    label: 1 = genuine comparison, 0 = impostor. kin_labels: one ground
-    truth per kin score (1 = true kin).
+    label: 1 = genuine comparison, 0 = impostor, shape (N,). kin_label: one
+    ground truth per kin score (True = kin), shape (N, n_kin); it defaults
+    to each row's label. Shapes and labels are checked (ValueError).
     """
 
-    s: float
-    k: tuple = ()
-    label: int = 0
-    kin_labels: tuple = ()
+    s: np.ndarray
+    k: np.ndarray
+    label: np.ndarray
+    kin_label: np.ndarray = None
+
+    def __post_init__(self):
+        self.s = np.asarray(self.s, dtype=np.float64)
+        self.k = np.asarray(self.k, dtype=np.float64)
+        self.label = np.asarray(self.label)
+        if self.kin_label is None and self.label.ndim == 1 and self.k.ndim == 2:
+            self.kin_label = np.repeat(self.label[:, None] == 1,
+                                       self.k.shape[1], axis=1)
+        kin = np.asarray(self.kin_label)
+        if (self.s.ndim != 1 or self.k.ndim != 2
+                or self.k.shape[0] != self.s.size
+                or self.label.shape != self.s.shape
+                or kin.shape != self.k.shape):
+            raise ValueError(
+                f"need s (N,), k (N, n_kin), label (N,), kin_label (N, n_kin); "
+                f"got {self.s.shape}, {self.k.shape}, {self.label.shape}, "
+                f"{kin.shape}")
+        if not (np.isin(self.label, (0, 1)).all()
+                and np.isin(kin, (0, 1)).all()):
+            raise ValueError("labels and kin labels must be 0 or 1")
+        self.kin_label = kin.astype(bool)
 
 
 @dataclass
@@ -121,21 +143,9 @@ class PlrModels:
     k_nonkin: GaussianMixture
 
 
-def score_arrays(records):
-    """Face scores (N,) and kin scores (N, n_kin) of equal-length records."""
-    counts = {len(r.k) for r in records}
-    if len(counts) > 1:
-        raise ValueError(f"records mix kin-score counts {sorted(counts)}")
-    s = np.array([r.s for r in records], dtype=np.float64)
-    k = np.array([r.k for r in records], dtype=np.float64)
-    return s, k.reshape(s.size, max(counts, default=0))
-
-
-def fit_plr_models(records, n_components=2, seed=0):
-    s, k = score_arrays(records)
-    label = np.array([r.label for r in records])
-    kin = np.array([r.kin_labels or (r.label,) * len(r.k) for r in records],
-                   dtype=bool).reshape(k.shape)
+def fit_plr_models(scores, n_components=2, seed=0):
+    """Fit the four conditionals of a ScoreSet, kin scores pooled by kin label."""
+    s, k, label, kin = scores.s, scores.k, scores.label, scores.kin_label
     return PlrModels(
         s_genuine=fit_gmm(s[label == 1], n_components, seed),
         s_impostor=fit_gmm(s[label == 0], n_components, seed + 1),
@@ -169,26 +179,11 @@ def plr_scores(models, s, k, diag=None):
     return np.exp(np.minimum(log_plr_scores(models, s, k, diag), 700.0))
 
 
-def log_plr_score(rec, models, diag=None):
-    """log_plr_scores of one record."""
-    return float(log_plr_scores(models, *score_arrays([rec]), diag)[0])
-
-
-def plr_score(rec, models, diag=None):
-    """plr_scores of one record."""
-    return float(plr_scores(models, *score_arrays([rec]), diag)[0])
-
-
 def svm_feature_rows(s, k):
     """Fixed-length score vectors: [s], [s, k], or [s, mean(k), max(k)]."""
     if k.shape[1] <= 1:
         return np.column_stack([s, k])
     return np.column_stack([s, k.mean(axis=1), k.max(axis=1)])
-
-
-def svm_features(rec):
-    """svm_feature_rows of one record."""
-    return svm_feature_rows(*score_arrays([rec]))[0]
 
 
 @dataclass
@@ -202,7 +197,7 @@ class SvmModel:
     margin: float = 0.0
 
 
-def svm_fit(records, reg=1e-3, epochs=2000, learning_rate=0.1):
+def svm_fit(scores, reg=1e-3, epochs=2000, learning_rate=0.1):
     """Deterministic hinge-loss subgradient training on score vectors.
 
     Features are z-scored internally, so rescaling every input by a common
@@ -210,8 +205,8 @@ def svm_fit(records, reg=1e-3, epochs=2000, learning_rate=0.1):
     feature rows yield a degenerate majority-class model (flagged), not an
     error; single-class labels raise.
     """
-    feats = svm_feature_rows(*score_arrays(records))
-    y = np.array([1.0 if r.label == 1 else -1.0 for r in records])
+    feats = svm_feature_rows(scores.s, scores.k)
+    y = np.where(scores.label == 1, 1.0, -1.0)
     if len(np.unique(y)) < 2:
         raise ValueError("degenerate labels: both classes required")
     mean = feats.mean(axis=0)
@@ -248,23 +243,18 @@ def svm_decisions(model, s, k):
     return np.vecdot(x, model.w) + model.b
 
 
-def svm_decision(model, rec):
-    """svm_decisions of one record."""
-    return float(svm_decisions(model, *score_arrays([rec]))[0])
-
-
 @dataclass
 class FusionModel:
     plr: PlrModels = None
     svm: SvmModel = None
 
 
-def fit_fusion(records, n_components=2, seed=0, methods=("plr", "svm")):
-    """Fit the routes in methods on the same records; the others stay None."""
+def fit_fusion(scores, n_components=2, seed=0, methods=("plr", "svm")):
+    """Fit the routes in methods on the same ScoreSet; the others stay None."""
     return FusionModel(
-        plr=(fit_plr_models(records, n_components, seed)
+        plr=(fit_plr_models(scores, n_components, seed)
              if "plr" in methods else None),
-        svm=svm_fit(records) if "svm" in methods else None)
+        svm=svm_fit(scores) if "svm" in methods else None)
 
 
 def fused_scores(models, method, s, k):
@@ -280,38 +270,27 @@ def fused_scores(models, method, s, k):
     raise ValueError(f"unknown fusion method {method!r}")
 
 
-def boost_decision(rec, method, threshold, models):
-    """Fuse one record and compare to the threshold.
-
-    Returns (accept, fused_score, raw_face_score) so callers can build ROC
-    curves from either score. method is "plr" or "svm".
-    """
-    return ((fused := float(fused_scores(
-        models, method, *score_arrays([rec]))[0])) >= threshold,
-        fused, float(rec.s))
+def boost_decision(models, method, threshold, s, k):
+    """Fuse every row and compare to the threshold: (accept, fused)."""
+    fused = fused_scores(models, method, s, k)
+    return fused >= threshold, fused
 
 
-def synth_score_records(seed, n_genuine, n_impostor, face_shift=1.5,
-                        kin_shift=1.5, n_kin=1, informative=True):
-    """Synthetic trials with controllable class separation.
+def synth_scores(seed, n_genuine, n_impostor, face_shift=1.5, kin_shift=1.5,
+                 n_kin=1, informative=True):
+    """Synthetic ScoreSet with controllable class separation.
 
-    Genuine trials draw the face score from N(face_shift, 1) and, when
-    informative, kin scores from N(kin_shift, 1); impostor trials draw both
-    from N(0, 1). With informative=False kin scores are N(0, 1) everywhere.
+    Genuine trials (the first n_genuine rows) draw the face score from
+    N(face_shift, 1) and, when informative, kin scores from N(kin_shift, 1);
+    impostor trials draw both from N(0, 1). With informative=False kin
+    scores are N(0, 1) everywhere.
     """
     stream = RngStream(seed=seed)
-    records = []
-    for label, count in ((1, n_genuine), (0, n_impostor)):
-        s_shift = face_shift if label == 1 else 0.0
-        k_shift = kin_shift if (label == 1 and informative) else 0.0
-        s_draws = stream.gaussian(count, mu=s_shift)
-        k_draws = stream.gaussian(count * n_kin, mu=k_shift).reshape(count, n_kin) \
-            if n_kin else np.zeros((count, 0))
-        for i in range(count):
-            records.append(ScoreRecord(
-                s=float(s_draws[i]),
-                k=tuple(float(v) for v in k_draws[i]),
-                label=label,
-                kin_labels=tuple([label] * n_kin),
-            ))
-    return records
+    s, k, label = [], [], []
+    for lab, count in ((1, n_genuine), (0, n_impostor)):
+        k_shift = kin_shift if (lab == 1 and informative) else 0.0
+        s.append(stream.gaussian(count, mu=face_shift if lab == 1 else 0.0))
+        k.append(stream.gaussian(count * n_kin, mu=k_shift).reshape(count, n_kin)
+                 if n_kin else np.zeros((count, 0)))
+        label.append(np.full(count, lab))
+    return ScoreSet(np.concatenate(s), np.concatenate(k), np.concatenate(label))

@@ -146,16 +146,13 @@ def extract_regions(aligned_face, fractions=None, size=32, extras=()):
 
     not_t = prepare_region(np.where(mask, mean, img), size)
 
+    extra_rows = {"binocular": fractions.eye_rows, "chin": fractions.chin_rows}
     extra_map = {}
     for name in extras:
-        if name == "binocular":
-            r0, r1 = _span(fractions.eye_rows, img.shape[0])
-            extra_map[name] = prepare_region(img[r0:r1, :], size)
-        elif name == "chin":
-            r0, r1 = _span(fractions.chin_rows, img.shape[0])
-            extra_map[name] = prepare_region(img[r0:r1, :], size)
-        else:
+        if name not in extra_rows:
             raise ValueError(f"unknown extra region {name!r}")
+        r0, r1 = _span(extra_rows[name], img.shape[0])
+        extra_map[name] = prepare_region(img[r0:r1, :], size)
     return RegionSet(face=face, t_region=t_region, not_t=not_t,
                      extras=extra_map)
 

@@ -102,7 +102,7 @@ def load_pgm(path, size=64):
             fields.append(int(token))  # over 4300 digits, int() raises
         except ValueError:
             raise PgmParseError(f"non-numeric header field {token[:16]!r} "
-                                f"at byte {pos}") from None
+                                f"at byte {pos - len(token)}") from None
     width, height, maxval = fields
     if maxval != 255:
         raise PgmParseError(f"only 8-bit PGM supported, maxval={maxval}")
@@ -202,10 +202,7 @@ def _layer_from_doc(doc):
         image_shape=None if doc["image_shape"] is None
         else tuple(doc["image_shape"]),
     )
-    try:
-        layer.validate()
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    layer.validate()
     return layer
 
 
@@ -215,10 +212,7 @@ def _stack_doc(stack):
 
 def _stack_from_doc(doc):
     stack = DbnStack(layers=[_layer_from_doc(l) for l in doc["layers"]])
-    try:
-        stack.validate()
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    stack.validate()
     return stack
 
 
@@ -238,10 +232,7 @@ def _mlp_from_doc(doc):
         dropout_input=float(doc["dropout_input"]),
         dropout_hidden=float(doc["dropout_hidden"]),
     )
-    try:
-        mlp.validate()
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    mlp.validate()
     return mlp
 
 
@@ -346,10 +337,7 @@ def _model_from_doc(doc):
             ),
             region_size=int(payload["region_size"]),
         )
-        try:
-            model.validate()
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
+        model.validate()
         return model
     if kind == "plr":
         return PlrModels(s_genuine=_gmm_from_doc(payload["s_genuine"]),

@@ -20,12 +20,7 @@ from fcdbn.evaluation import (
     roc,
     stimulus_entropy,
 )
-from fcdbn.fusion import (
-    fit_fusion,
-    fused_scores,
-    score_arrays,
-    synth_score_records,
-)
+from fcdbn.fusion import fit_fusion, fused_scores, synth_scores
 from fcdbn.kvrl import encode_face, extract_regions, kin_score, pretrain_stages, train_kvrl
 from fcdbn.rbm import (
     GAUSSIAN,
@@ -220,13 +215,10 @@ def test_c06_region_ablation():
 def test_c07_fusion_boost():
     plr_wins, svm_wins, plr_ok, svm_ok = 0, 0, True, True
     for seed in (100, 101, 102):
-        train = synth_score_records(seed, 400, 400, face_shift=1.2,
-                                    kin_shift=1.8)
-        test = synth_score_records(seed + 50, 400, 400, face_shift=1.2,
-                                   kin_shift=1.8)
+        train = synth_scores(seed, 400, 400, face_shift=1.2, kin_shift=1.8)
+        test = synth_scores(seed + 50, 400, 400, face_shift=1.2, kin_shift=1.8)
         models = fit_fusion(train, n_components=2, seed=seed)
-        labels = [r.label for r in test]
-        s, k = score_arrays(test)
+        s, k, labels = test.s, test.k, test.label
         face = roc(s, labels).tpr_at_fpr[0.01]
         plr = roc(fused_scores(models, "plr", s, k), labels).tpr_at_fpr[0.01]
         svm = roc(fused_scores(models, "svm", s, k), labels).tpr_at_fpr[0.01]

@@ -7,25 +7,26 @@ from fcdbn.fusion import (
     DENSITY_FLOOR,
     GaussianMixture,
     PlrModels,
-    ScoreRecord,
+    ScoreSet,
     boost_decision,
     fit_fusion,
     fit_gmm,
     fit_plr_models,
     gmm_logpdf,
     gmm_pdf,
-    log_plr_score,
     log_plr_scores,
-    plr_score,
     plr_scores,
-    score_arrays,
-    svm_decision,
     svm_decisions,
-    svm_features,
+    svm_feature_rows,
     svm_fit,
-    synth_score_records,
+    synth_scores,
 )
 from fcdbn.kvrl import ModelStateError
+
+
+def row(s, *k):
+    """One trial as (s, k) arrays: shapes (1,) and (1, len(k))."""
+    return np.array([s]), np.array([k], dtype=np.float64)
 
 
 def single_gaussian(mean, var=1.0):
@@ -81,7 +82,7 @@ class TestFitGmm:
         # the default tol of 1e-8 is absolute, so the 3,000-sample class
         # fits run out of iterations, and say so
         for seed in range(4):
-            models = fit_plr_models(synth_score_records(seed, 1500, 1500),
+            models = fit_plr_models(synth_scores(seed, 1500, 1500),
                                     n_components=2, seed=seed)
             for fit in (models.s_genuine, models.s_impostor, models.k_kin,
                         models.k_nonkin):
@@ -118,45 +119,42 @@ class TestPlr:
                            s_impostor=single_gaussian(0.0),
                            k_kin=single_gaussian(0.3, 1.4),
                            k_nonkin=single_gaussian(0.3, 1.4))
-        rec = ScoreRecord(s=0.8, k=(0.1, 0.9), label=1)
-        with_kin = plr_score(rec, models)
-        face_only = plr_score(ScoreRecord(s=0.8, k=()), models)
+        with_kin = plr_scores(models, *row(0.8, 0.1, 0.9))[0]
+        face_only = plr_scores(models, *row(0.8))[0]
         assert with_kin == pytest.approx(face_only, rel=1e-12)
 
     def test_no_kin_scores_gives_face_ratio(self):
         models = self.reference_models()
-        rec = ScoreRecord(s=0.5, k=())
         # N(1,1)/N(0,1) at 0.5 -> exp(0.5 - 0.5) = 1
-        assert plr_score(rec, models) == pytest.approx(1.0, rel=1e-12)
+        assert plr_scores(models, *row(0.5))[0] == \
+            pytest.approx(1.0, rel=1e-12)
 
     def test_closed_form_gaussian_ratio(self):
         models = self.reference_models()
         # ratio contributions are exp(x - 0.5) each
-        assert plr_score(ScoreRecord(s=0.5, k=(0.5,)), models) == \
+        assert plr_scores(models, *row(0.5, 0.5))[0] == \
             pytest.approx(1.0, rel=1e-12)
-        assert plr_score(ScoreRecord(s=1.0, k=(1.0,)), models) == \
+        assert plr_scores(models, *row(1.0, 1.0))[0] == \
             pytest.approx(np.e, rel=1e-12)
 
     def test_log_plr_additive_over_kin_terms(self):
         models = self.reference_models()
-        rec = ScoreRecord(s=0.7, k=(0.2, -0.4, 1.1))
-        total = log_plr_score(rec, models)
-        face = log_plr_score(ScoreRecord(s=0.7, k=()), models)
-        parts = [log_plr_score(ScoreRecord(s=0.7, k=(v,)), models) - face
-                 for v in rec.k]
+        kin = (0.2, -0.4, 1.1)
+        total = log_plr_scores(models, *row(0.7, *kin))[0]
+        face = log_plr_scores(models, *row(0.7))[0]
+        parts = [log_plr_scores(models, *row(0.7, v))[0] - face for v in kin]
         assert abs(total - (face + sum(parts))) < 1e-12
 
     def test_always_positive_with_floor(self):
         models = self.reference_models()
         diag = {}
-        score = plr_score(ScoreRecord(s=-60.0, k=(55.0,)), models, diag)
+        score = plr_scores(models, *row(-60.0, 55.0), diag)[0]
         assert score > 0.0
         assert diag.get("floor_hits", 0) >= 1
 
     def test_fit_plr_models_separates_classes(self):
-        records = synth_score_records(0, 300, 300, face_shift=2.0,
-                                      kin_shift=2.0)
-        models = fit_plr_models(records, n_components=2, seed=1)
+        scores = synth_scores(0, 300, 300, face_shift=2.0, kin_shift=2.0)
+        models = fit_plr_models(scores, n_components=2, seed=1)
         assert models.s_genuine.means.mean() > models.s_impostor.means.mean()
         assert models.k_kin.means.mean() > models.k_nonkin.means.mean()
 
@@ -164,118 +162,111 @@ class TestPlr:
 class TestSvm:
     def test_separable_scores_reach_perfect_accuracy(self):
         stream = RngStream(seed=10)
-        records = []
+        rows = []
         for _ in range(40):
-            records.append(ScoreRecord(s=2.0 + stream.uniform01(1)[0],
-                                       k=(2.0 + stream.uniform01(1)[0],),
-                                       label=1))
-            records.append(ScoreRecord(s=-2.0 - stream.uniform01(1)[0],
-                                       k=(-2.0 - stream.uniform01(1)[0],),
-                                       label=0))
-        model = svm_fit(records)
+            rows.append((2.0 + stream.uniform01(1)[0],
+                         2.0 + stream.uniform01(1)[0], 1))
+            rows.append((-2.0 - stream.uniform01(1)[0],
+                         -2.0 - stream.uniform01(1)[0], 0))
+        s, k, label = np.array(rows).T
+        scores = ScoreSet(s, k[:, None], label)
+        model = svm_fit(scores)
         assert not model.degenerate
-        preds = [svm_decision(model, r) >= 0 for r in records]
-        truth = [r.label == 1 for r in records]
-        assert preds == truth
+        preds = svm_decisions(model, scores.s, scores.k) >= 0
+        assert np.array_equal(preds, label == 1)
 
     def test_identical_features_flagged_degenerate(self):
-        records = [ScoreRecord(s=0.5, k=(0.5,), label=i % 2) for i in range(10)]
-        model = svm_fit(records)
+        scores = ScoreSet(np.full(10, 0.5), np.full((10, 1), 0.5),
+                          np.arange(10) % 2)
+        model = svm_fit(scores)
         assert model.degenerate
-        assert svm_decision(model, records[0]) == float(model.majority)
+        assert svm_decisions(model, *row(0.5, 0.5))[0] == float(model.majority)
 
     def test_single_class_rejected(self):
-        records = [ScoreRecord(s=0.5, k=(), label=1) for _ in range(5)]
         with pytest.raises(ValueError):
-            svm_fit(records)
+            svm_fit(ScoreSet(np.full(5, 0.5), np.zeros((5, 0)), np.ones(5)))
 
     def test_feature_vector_shapes(self):
-        assert svm_features(ScoreRecord(s=0.5, k=())).shape == (1,)
-        assert svm_features(ScoreRecord(s=0.5, k=(0.1,))).shape == (2,)
-        feats = svm_features(ScoreRecord(s=0.5, k=(0.1, 0.9, 0.4)))
+        assert svm_feature_rows(*row(0.5)).shape == (1, 1)
+        assert svm_feature_rows(*row(0.5, 0.1)).shape == (1, 2)
+        feats = svm_feature_rows(*row(0.5, 0.1, 0.9, 0.4))[0]
         assert feats.shape == (3,)
         assert feats[1] == pytest.approx(np.mean([0.1, 0.9, 0.4]))
         assert feats[2] == 0.9
 
     def test_common_scaling_preserves_predictions(self):
-        records = synth_score_records(11, 80, 80, face_shift=1.0, kin_shift=1.0)
-        scaled = [ScoreRecord(s=2 * r.s, k=tuple(2 * v for v in r.k),
-                              label=r.label) for r in records]
-        m1 = svm_fit(records)
+        scores = synth_scores(11, 80, 80, face_shift=1.0, kin_shift=1.0)
+        scaled = ScoreSet(2 * scores.s, 2 * scores.k, scores.label)
+        m1 = svm_fit(scores)
         m2 = svm_fit(scaled)
-        p1 = [svm_decision(m1, r) >= 0 for r in records]
-        p2 = [svm_decision(m2, r) >= 0 for r in scaled]
-        assert p1 == p2
+        p1 = svm_decisions(m1, scores.s, scores.k) >= 0
+        p2 = svm_decisions(m2, scaled.s, scaled.k) >= 0
+        assert np.array_equal(p1, p2)
 
 
 class TestBoostDecision:
     def fitted(self, seed=20):
-        records = synth_score_records(seed, 200, 200, face_shift=1.2,
-                                      kin_shift=1.5)
-        return fit_fusion(records, n_components=2, seed=seed)
+        scores = synth_scores(seed, 200, 200, face_shift=1.2, kin_shift=1.5)
+        return fit_fusion(scores, n_components=2, seed=seed)
 
     def test_extreme_thresholds(self):
         models = self.fitted()
-        rec = ScoreRecord(s=0.2, k=(0.4,), label=1)
-        accept, _, _ = boost_decision(rec, "plr", -np.inf, models)
-        assert accept
-        accept, _, _ = boost_decision(rec, "plr", np.inf, models)
-        assert not accept
+        accept, _ = boost_decision(models, "plr", -np.inf, *row(0.2, 0.4))
+        assert accept[0]
+        accept, _ = boost_decision(models, "plr", np.inf, *row(0.2, 0.4))
+        assert not accept[0]
 
-    def test_returns_raw_and_fused(self):
+    def test_returns_accept_and_fused(self):
         models = self.fitted()
-        rec = ScoreRecord(s=0.3, k=(0.1,), label=0)
-        _, fused, raw = boost_decision(rec, "svm", 0.0, models)
-        assert raw == pytest.approx(0.3)
-        assert np.isfinite(fused)
+        s, k = np.array([0.3, 2.0, -1.0]), np.array([[0.1], [2.0], [-1.0]])
+        accept, fused = boost_decision(models, "svm", 0.0, s, k)
+        assert np.array_equal(fused, svm_decisions(models.svm, s, k))
+        assert np.array_equal(accept, fused >= 0.0)
 
     def test_unknown_method_rejected(self):
         models = self.fitted()
         with pytest.raises(ValueError):
-            boost_decision(ScoreRecord(s=0.1), "mystery", 0.0, models)
+            boost_decision(models, "mystery", 0.0, *row(0.1))
 
     def test_fusion_improves_tpr_at_low_fpr(self):
-        train = synth_score_records(30, 400, 400, face_shift=1.2, kin_shift=1.8)
-        test = synth_score_records(31, 400, 400, face_shift=1.2, kin_shift=1.8)
+        train = synth_scores(30, 400, 400, face_shift=1.2, kin_shift=1.8)
+        test = synth_scores(31, 400, 400, face_shift=1.2, kin_shift=1.8)
         models = fit_fusion(train, n_components=2, seed=30)
-        labels = [r.label for r in test]
-        face = roc([r.s for r in test], labels)
-        plr = roc([boost_decision(r, "plr", 0.0, models)[1] for r in test],
-                  labels)
-        svm = roc([boost_decision(r, "svm", 0.0, models)[1] for r in test],
-                  labels)
+        face = roc(test.s, test.label)
+        plr = roc(boost_decision(models, "plr", 0.0, test.s, test.k)[1],
+                  test.label)
+        svm = roc(boost_decision(models, "svm", 0.0, test.s, test.k)[1],
+                  test.label)
         assert plr.tpr_at_fpr[0.01] >= face.tpr_at_fpr[0.01]
         assert svm.tpr_at_fpr[0.01] >= face.tpr_at_fpr[0.01]
 
     def test_roc_domination_at_sampled_fprs(self):
-        train = synth_score_records(32, 500, 500, face_shift=1.0, kin_shift=2.0)
-        test = synth_score_records(33, 500, 500, face_shift=1.0, kin_shift=2.0)
+        train = synth_scores(32, 500, 500, face_shift=1.0, kin_shift=2.0)
+        test = synth_scores(33, 500, 500, face_shift=1.0, kin_shift=2.0)
         models = fit_fusion(train, n_components=2, seed=32)
-        labels = [r.label for r in test]
-        face = roc([r.s for r in test], labels)
+        face = roc(test.s, test.label)
         for method in ("plr", "svm"):
-            fused = roc([boost_decision(r, method, 0.0, models)[1]
-                         for r in test], labels)
+            fused = roc(boost_decision(models, method, 0.0, test.s, test.k)[1],
+                        test.label)
             for target in (0.001, 0.01, 0.1):
                 assert fused.tpr_at_fpr[target] >= face.tpr_at_fpr[target]
 
 
-def reference_plr(models, rec):
-    # per-record PLR as scalar log densities, floored, summed and capped
+def reference_plr(models, s, k):
+    # one row's PLR as scalar log densities, floored, summed and capped
     def floored(model, x):
         value = gmm_logpdf(model, float(x))
         return np.log(DENSITY_FLOOR) if value < np.log(DENSITY_FLOOR) else value
 
-    total = floored(models.s_genuine, rec.s) - floored(models.s_impostor, rec.s)
-    for value in rec.k:
+    total = floored(models.s_genuine, s) - floored(models.s_impostor, s)
+    for value in k:
         total += floored(models.k_kin, value) - floored(models.k_nonkin, value)
     return float(np.exp(min(total, 700.0)))
 
 
-def reference_svm(model, rec):
-    k = np.asarray(rec.k, dtype=np.float64)
-    feats = [rec.s] + ([] if k.size == 0 else [float(k[0])] if k.size == 1
-                       else [float(k.mean()), float(k.max())])
+def reference_svm(model, s, k):
+    feats = [float(s)] + ([] if k.size == 0 else [float(k[0])] if k.size == 1
+                          else [float(k.mean()), float(k.max())])
     x = (np.array(feats) - model.feat_mean) / model.feat_std
     return float(np.dot(x, model.w) + model.b)
 
@@ -283,51 +274,64 @@ def reference_svm(model, rec):
 class TestArrayScoring:
     @pytest.mark.parametrize("n_kin", [0, 1, 2, 3])
     def test_array_scores_equal_per_record_reference(self, n_kin):
-        plr = fit_plr_models(synth_score_records(40, 200, 200), seed=40)
-        train = synth_score_records(41, 200, 200, n_kin=n_kin)
-        test = synth_score_records(42, 1500, 1500, n_kin=n_kin)
+        plr = fit_plr_models(synth_scores(40, 200, 200), seed=40)
+        train = synth_scores(41, 200, 200, n_kin=n_kin)
+        test = synth_scores(42, 1500, 1500, n_kin=n_kin)
         svm = svm_fit(train)
-        s, k = score_arrays(test)
+        s, k = test.s, test.k
         assert s.shape == (3000,) and k.shape == (3000, n_kin)
         assert np.array_equal(plr_scores(plr, s, k),
-                              [reference_plr(plr, r) for r in test])
+                              [reference_plr(plr, *r) for r in zip(s, k)])
         assert np.array_equal(svm_decisions(svm, s, k),
-                              [reference_svm(svm, r) for r in test])
+                              [reference_svm(svm, *r) for r in zip(s, k)])
 
     def test_floor_hits_counted_per_value(self):
         models = TestPlr().reference_models()
-        records = [ScoreRecord(s=-60.0, k=(55.0,)), ScoreRecord(s=0.1, k=(0.2,)),
-                   ScoreRecord(s=40.0, k=(-50.0,))]
-        per_record = {}
-        for rec in records:
-            log_plr_score(rec, models, per_record)
+        s, k = np.array([-60.0, 0.1, 40.0]), np.array([[55.0], [0.2], [-50.0]])
+        per_row = {}
+        for i in range(s.size):
+            log_plr_scores(models, s[i:i + 1], k[i:i + 1], per_row)
         batched = {}
-        log_plr_scores(models, *score_arrays(records), batched)
-        assert batched == per_record
+        log_plr_scores(models, s, k, batched)
+        assert batched == per_row
         assert batched["floor_hits"] >= 2
 
-    def test_ragged_kin_scores_rejected(self):
-        records = [ScoreRecord(s=0.1, k=(0.2,), label=1),
-                   ScoreRecord(s=0.3, k=(0.4, 0.5), label=0)]
+    @pytest.mark.parametrize("fields", [
+        dict(s=[0.1, 0.3], k=[[0.2], [0.4], [0.5]], label=[1, 0]),
+        dict(s=[0.1, 0.3], k=[0.2, 0.4], label=[1, 0]),
+        dict(s=[[0.1, 0.3]], k=[[0.2], [0.4]], label=[1, 0]),
+        dict(s=[0.1, 0.3], k=[[0.2], [0.4]], label=[1, 0, 1]),
+        dict(s=[0.1, 0.3], k=[[0.2], [0.4]], label=[1, 0],
+             kin_label=[[1, 0]]),
+        dict(s=[0.1, 0.3], k=[[0.2], [0.4]], label=[1, 2]),
+        dict(s=[0.1, 0.3], k=[[0.2], [0.4]], label=[1, -1]),
+        dict(s=[0.1, 0.3], k=[[0.2], [0.4]], label=[1, 0],
+             kin_label=[[1], [0.5]]),
+    ], ids=["k-rows", "k-1d", "s-2d", "label-length", "kin-label-shape",
+            "label-2", "label-minus-1", "kin-label-half"])
+    def test_score_set_rejects_bad_shapes_and_labels(self, fields):
         with pytest.raises(ValueError):
-            score_arrays(records)
-        with pytest.raises(ValueError):
-            svm_fit(records)
+            ScoreSet(**fields)
+
+    def test_kin_label_defaults_to_row_label(self):
+        scores = ScoreSet([0.1, 0.3, 0.5], np.zeros((3, 2)), [1, 0, 1])
+        assert np.array_equal(scores.kin_label,
+                              [[True, True], [False, False], [True, True]])
 
     def test_plr_pools_samples_in_record_order(self):
         # kin labels that disagree with the face label pool by kin label
-        stream = RngStream(seed=43)
-        records = [ScoreRecord(s=float(v[0]), k=(float(v[1]), float(v[2])),
-                               label=i % 2,
-                               kin_labels=(i % 3 == 0, (i + 1) % 2))
-                   for i, v in enumerate(stream.gaussian(90).reshape(30, 3))]
-        models = fit_plr_models(records, n_components=2, seed=44)
-        kin = [v for r in records for v, is_kin in zip(r.k, r.kin_labels)
-               if is_kin]
-        nonkin = [v for r in records for v, is_kin in zip(r.k, r.kin_labels)
-                  if not is_kin]
-        for fit, samples, seed in ((models.s_genuine,
-                                    [r.s for r in records if r.label == 1], 44),
+        v = RngStream(seed=43).gaussian(90).reshape(30, 3)
+        i = np.arange(30)
+        scores = ScoreSet(v[:, 0], v[:, 1:], i % 2,
+                          np.column_stack([i % 3 == 0, (i + 1) % 2]))
+        models = fit_plr_models(scores, n_components=2, seed=44)
+        pairs = [(value, is_kin) for row_k, row_kin
+                 in zip(scores.k, scores.kin_label)
+                 for value, is_kin in zip(row_k, row_kin)]
+        kin = [value for value, is_kin in pairs if is_kin]
+        nonkin = [value for value, is_kin in pairs if not is_kin]
+        genuine = [s for s, label in zip(scores.s, scores.label) if label == 1]
+        for fit, samples, seed in ((models.s_genuine, genuine, 44),
                                    (models.k_kin, kin, 46),
                                    (models.k_nonkin, nonkin, 47)):
             want = fit_gmm(samples, 2, seed=seed)
@@ -335,12 +339,12 @@ class TestArrayScoring:
             assert np.array_equal(fit.variances, want.variances)
 
     def test_fit_fusion_leaves_unnamed_routes_unfitted(self):
-        records = synth_score_records(45, 100, 100)
-        models = fit_fusion(records, methods=("svm",))
+        scores = synth_scores(45, 100, 100)
+        models = fit_fusion(scores, methods=("svm",))
         assert models.plr is None
         assert models.svm is not None
-        rec = records[0]
-        assert boost_decision(rec, "svm", 0.0, models)[1] == \
-            svm_decision(models.svm, rec)
+        s, k = scores.s, scores.k
+        assert np.array_equal(boost_decision(models, "svm", 0.0, s, k)[1],
+                              svm_decisions(models.svm, s, k))
         with pytest.raises(ModelStateError):
-            boost_decision(rec, "plr", 0.0, models)
+            boost_decision(models, "plr", 0.0, s, k)

@@ -13,7 +13,7 @@ from fcdbn import storage
 from fcdbn.config import RunConfig
 from fcdbn.core import RngStream
 from fcdbn.deepnet import DbnStack, MlpModel
-from fcdbn.fusion import ScoreRecord, fit_fusion, synth_score_records
+from fcdbn.fusion import fit_fusion, plr_scores, svm_decisions, synth_scores
 from fcdbn.kvrl import (
     DEFAULT_REGIONS,
     KvrlModel,
@@ -84,13 +84,14 @@ class TestPgm:
         with pytest.raises(PgmParseError, match="byte"):
             load_pgm(path)
 
-    @pytest.mark.parametrize("header", [b"P5\n+64 64\n255\n",
-                                        b"P5\n64 64\n2_55\n"],
+    @pytest.mark.parametrize("header, start", [(b"P5\n+64 64\n255\n", 3),
+                                               (b"P5\n64 64\n2_55\n", 9)],
                              ids=["signed", "underscore"])
-    def test_header_fields_are_decimal_digits(self, tmp_path, header):
+    def test_header_fields_are_decimal_digits(self, tmp_path, header, start):
+        # the offset is where the bad token starts
         path = tmp_path / "h.pgm"
         path.write_bytes(header + bytes(64 * 64))
-        with pytest.raises(PgmParseError, match="non-numeric"):
+        with pytest.raises(PgmParseError, match=f"non-numeric .* at byte {start}$"):
             load_pgm(path)
 
     def test_bad_header_field_echo_is_short(self, tmp_path):
@@ -174,18 +175,17 @@ class TestModelPersistence:
             load_model(path)
 
     def test_fusion_models_round_trip(self, tmp_path):
-        records = synth_score_records(1, 100, 100)
-        fused = fit_fusion(records, n_components=2, seed=1)
+        fused = fit_fusion(synth_scores(1, 100, 100), n_components=2, seed=1)
         plr_path = tmp_path / "plr.json"
         svm_path = tmp_path / "svm.json"
         save_model(fused.plr, plr_path)
         save_model(fused.svm, svm_path)
         plr = load_model(plr_path)
         svm = load_model(svm_path)
-        from fcdbn.fusion import plr_score, svm_decision
-        rec = ScoreRecord(s=0.4, k=(0.6,), label=1)
-        assert plr_score(rec, plr) == plr_score(rec, fused.plr)
-        assert svm_decision(svm, rec) == svm_decision(fused.svm, rec)
+        s, k = np.array([0.4]), np.array([[0.6]])
+        assert np.array_equal(plr_scores(plr, s, k), plr_scores(fused.plr, s, k))
+        assert np.array_equal(svm_decisions(svm, s, k),
+                              svm_decisions(fused.svm, s, k))
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "odd.json"
@@ -310,7 +310,7 @@ class TestModelFormat:
         assert resaved.read_bytes() == v2.read_bytes()
 
     def test_fusion_models_load_from_version_1(self, tmp_path):
-        fused = fit_fusion(synth_score_records(1, 100, 100), n_components=2,
+        fused = fit_fusion(synth_scores(1, 100, 100), n_components=2,
                            seed=1)
         for model in (fused.plr, fused.svm):
             v2 = tmp_path / "v2.json"
@@ -425,7 +425,7 @@ class TestModelFormat:
             "missing-bias", "negative-variance", "zero-variance",
             "negative-weight", "nan-svm-b", "inf-svm-margin"])
     def test_out_of_range_value_rejected(self, tmp_path, model, mutate):
-        fused = fit_fusion(synth_score_records(1, 60, 60), n_components=2,
+        fused = fit_fusion(synth_scores(1, 60, 60), n_components=2,
                            seed=1)
         models = {"kvrl": hand_model(), "plr": fused.plr, "svm": fused.svm}
         doc = saved_doc(models[model], tmp_path / "m.json")
@@ -456,7 +456,7 @@ def _doc_paths(node, prefix=()):
 @pytest.fixture(scope="module")
 def fuzz_docs(tmp_path_factory):
     """Saved tiny KVRL, PLR and SVM documents, as JSON text."""
-    fused = fit_fusion(synth_score_records(1, 60, 60), n_components=2, seed=1)
+    fused = fit_fusion(synth_scores(1, 60, 60), n_components=2, seed=1)
     path = tmp_path_factory.mktemp("docs") / "m.json"
     docs = []
     for model in (hand_model(), fused.plr, fused.svm):
