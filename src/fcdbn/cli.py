@@ -282,7 +282,14 @@ def _read_counts_csv(path):
             continue  # header line
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"counts file must hold a 2x2 integer table: {path}")
-    return ConfusionCounts(np.array(rows, dtype=float))
+    counts = ConfusionCounts(np.array(rows, dtype=float))
+    # metrics takes per-row rates, so an empty row is malformed here even
+    # though ConfusionCounts allows it
+    for row, stimulus in enumerate(("kin", "non-kin")):
+        if counts.counts[row].sum() == 0:
+            raise ValueError(f"counts row {row + 1} ({stimulus} stimuli) has no "
+                             f"trials: {path}")
+    return counts
 
 
 def cmd_metrics(cfg):

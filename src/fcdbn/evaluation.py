@@ -2,19 +2,21 @@
 protocol.
 
 Sensitivity index, entropies, and the two-proportion z-test operate on
-pooled 2x2 stimulus-by-response counts. ROC curves sweep every distinct
-score as a threshold; AUC is the trapezoidal integral, which equals the
-pairwise-comparison (rank) statistic including the half-credit for ties.
-Folding and negative-pair generation follow the five-fold protocol: per
-relation the positive pairs spread evenly over folds, and negative pairs
-never reuse an image or pair up members of the same family.
+pooled 2x2 stimulus-by-response counts; d' takes its normal quantile from
+the standard library's ``statistics.NormalDist``, so the module needs only
+numpy. ROC curves sweep every distinct score as a threshold; AUC is the
+trapezoidal integral, which equals the pairwise-comparison (rank)
+statistic including the half-credit for ties. Folding and negative-pair
+generation follow the five-fold protocol: per relation the positive pairs
+spread evenly over folds, and negative pairs never reuse an image or pair
+up members of the same family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import RngStream
 
@@ -48,13 +50,16 @@ def _counts_array(counts):
 def dprime(hit_rate, fa_rate, n_signal=None, n_noise=None):
     """Sensitivity index z(hit) - z(fa).
 
-    Rates must lie in [0, 1]. When trial counts are supplied each rate is
-    clamped to [1/(2n), 1 - 1/(2n)] so empty and perfect rates stay finite;
-    without counts a rate of exactly 0 or 1 is rejected.
+    Rates must lie in [0, 1]. When trial counts (each >= 1) are supplied
+    each rate is clamped to [1/(2n), 1 - 1/(2n)] so empty and perfect rates
+    stay finite; without counts a rate of exactly 0 or 1 is rejected.
     """
     for rate in (hit_rate, fa_rate):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate {rate} outside [0, 1]")
+    for n in (n_signal, n_noise):
+        if n is not None and n < 1:
+            raise ValueError("trial counts must be >= 1")
     if n_signal is not None:
         hit_rate = min(max(hit_rate, 1.0 / (2 * n_signal)),
                        1.0 - 1.0 / (2 * n_signal))
@@ -63,7 +68,8 @@ def dprime(hit_rate, fa_rate, n_signal=None, n_noise=None):
                       1.0 - 1.0 / (2 * n_noise))
     if not (0.0 < hit_rate < 1.0 and 0.0 < fa_rate < 1.0):
         raise ValueError("rates of exactly 0 or 1 need trial counts for clamping")
-    return float(norm.ppf(hit_rate) - norm.ppf(fa_rate))
+    z = NormalDist().inv_cdf
+    return float(z(hit_rate) - z(fa_rate))
 
 
 def _entropy_nats(p):

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +132,48 @@ class TestMetricsCommand:
     def test_missing_counts_path_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         assert run_command(["metrics", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("table, message", [
+        ("0,0\n3,5\n", "counts row 1 (kin stimuli) has no trials"),
+        ("3,5\n0,0\n", "counts row 2 (non-kin stimuli) has no trials"),
+    ])
+    def test_row_without_trials_exit_3(self, tmp_path, capsys, table, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(table)
+        cfg = write_config(tmp_path / "c.json", counts_csv=str(counts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["metrics", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import fcdbn
+from fcdbn.cli import run_command
+metrics_cfg, fuse_cfg = sys.argv[1:]
+codes = [run_command(["metrics", "--config", metrics_cfg]),
+         run_command(["fuse", "--config", fuse_cfg])]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_package_and_commands_load_no_scipy(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("84,16\n16,84\n")
+    metrics_cfg = write_config(tmp_path / "m.json", counts_csv=str(counts))
+    fuse_cfg = write_config(tmp_path / "f.json", output_dir=str(tmp_path / "fuse"),
+                            fusion_method="both", n_genuine=40, n_impostor=40)
+    src = os.path.dirname(os.path.dirname(fcdbn.kvrl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(metrics_cfg), str(fuse_cfg)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0, 0], "scipy": []}
 
 
 class TestEndToEnd:

@@ -56,10 +56,33 @@ class TestDprime:
         assert abs(got - 1.989) < 1e-3
 
     def test_clamping_with_counts(self):
-        # perfect hit rate over 20 trials clamps to 1 - 1/40
-        d = dprime(1.0, 0.25, n_signal=20, n_noise=20)
-        expected = inverse_normal_oracle(1 - 1 / 40) - inverse_normal_oracle(0.25)
-        assert abs(d - expected) < 1e-6
+        cases = [
+            # perfect hit rate over 20 trials clamps to 1 - 1/40
+            (1.0, 0.25, 20, 1 - 1 / 40, 0.25),
+            # a million trials clamp to 1/(2n) = 5e-7 from either end
+            (1.0, 0.0, 10**6, 1 - 5e-7, 5e-7),
+            (0.0, 1.0, 10**6, 5e-7, 1 - 5e-7),
+        ]
+        for hit, fa, n, hit_clamped, fa_clamped in cases:
+            d = dprime(hit, fa, n_signal=n, n_noise=n)
+            expected = (inverse_normal_oracle(hit_clamped)
+                        - inverse_normal_oracle(fa_clamped))
+            assert abs(d - expected) < 1e-6, (hit, fa, n)
+
+    def test_matches_scipy_quantile_on_grid(self):
+        from scipy.stats import norm  # scipy is a test-only dependency
+
+        tail = np.geomspace(1e-9, 0.5, 40)
+        grid = np.concatenate([tail, 1.0 - tail, np.linspace(0.01, 0.99, 41)])
+        for hit in grid:
+            for fa in grid[::7]:
+                expected = norm.ppf(hit) - norm.ppf(fa)
+                assert abs(dprime(hit, fa) - expected) < 1e-14, (hit, fa)
+
+    @pytest.mark.parametrize("n_signal, n_noise", [(0, 10), (10, 0), (-1, 10)])
+    def test_empty_trial_count_rejected(self, n_signal, n_noise):
+        with pytest.raises(ValueError, match="trial counts"):
+            dprime(0.5, 0.5, n_signal=n_signal, n_noise=n_noise)
 
     def test_extreme_rate_without_counts_rejected(self):
         with pytest.raises(ValueError):
