@@ -44,6 +44,7 @@ from .kvrl import (
     KvrlModel,
     RegionFractions,
     RegionSet,
+    cut_regions,
     encode_face,
     encode_images,
     extract_regions,

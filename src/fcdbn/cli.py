@@ -271,15 +271,18 @@ def cmd_fuse(cfg):
 
 
 def _read_counts_csv(path):
+    """The 2x2 count table of a CSV; only the first line may be a header."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)
+                 if ln.strip()]
     rows = []
-    for ln in lines:
-        cells = [c.strip() for c in ln.split(",")]
+    for i, (lineno, ln) in enumerate(lines):
         try:
-            rows.append([int(c) for c in cells])
+            rows.append([int(c.strip()) for c in ln.split(",")])
         except ValueError:
-            continue  # header line
+            if i > 0:
+                raise ValueError(f"counts line {lineno} is not integer counts: "
+                                 f"{ln[:40]!r} ({path})") from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"counts file must hold a 2x2 integer table: {path}")
     counts = ConfusionCounts(np.array(rows, dtype=float))

@@ -6,7 +6,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .kvrl import DEFAULT_REGIONS, EXTRA_REGIONS, RegionFractions
+from .kvrl import DEFAULT_REGIONS, RegionFractions, check_regions
 from .rbm import TrainConfig
 
 
@@ -75,8 +75,6 @@ class RunConfig:
     counts_csv: str = ""
     image: str = ""
 
-    _KNOWN_REGIONS = DEFAULT_REGIONS + EXTRA_REGIONS
-
     def validate(self):
         for name in ("learning_rate", "classifier_learning_rate", "alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
@@ -97,20 +95,16 @@ class RunConfig:
         if any(d < 1 for d in (*self.stage1_dims, *self.stage2_dims,
                                *self.classifier_hidden)):
             raise ConfigError("layer widths must be positive")
-        if self.stage1_dims[0] != self.region_size ** 2:
-            raise ConfigError(
-                f"stage1_dims[0]={self.stage1_dims[0]} must equal "
-                f"region_size^2={self.region_size ** 2}"
-            )
+        try:
+            check_regions(self.regions, self.region_fractions(),
+                          self.region_size,
+                          {name: self.stage1_dims[0] for name in self.regions})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.n_filters < 0 or self.filter_size < 1 or self.filter_size % 2 == 0:
             raise ConfigError("n_filters must be >= 0 and filter_size odd")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be >= 0")
-        if not self.regions:
-            raise ConfigError("at least one region required")
-        for name in self.regions:
-            if name not in self._KNOWN_REGIONS:
-                raise ConfigError(f"unknown region {name!r}")
         # stage 2 reads the stage-1 codes of every region side by side
         width = len(self.regions) * self.stage1_dims[-1]
         if self.stage2_dims[0] != width:
@@ -118,9 +112,6 @@ class RunConfig:
                 f"stage2_dims[0]={self.stage2_dims[0]} must equal "
                 f"len(regions) * stage1_dims[-1]={width}"
             )
-        for frac in (self.eye_rows, self.nose_rows, self.nose_cols, self.chin_rows):
-            if len(frac) != 2 or not 0.0 <= frac[0] < frac[1] <= 1.0:
-                raise ConfigError(f"bad fractional range {frac}")
         if self.fusion_method not in ("plr", "svm", "both"):
             raise ConfigError(f"unknown fusion method {self.fusion_method!r}")
         if self.gmm_components < 1:

@@ -90,6 +90,17 @@ class TestCliBasics:
             assert run_command(["synth", "--config", str(cfg)]) == 2, (key, value)
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("region_size", -32), ("region_size", 0), ("regions", ["nose"]),
+        ("regions", []), ("eye_rows", [0.5]), ("nose_rows", [0.75, 0.25]),
+        ("nose_cols", [0.35, 7.0]), ("chin_rows", [0.5, 0.5]),
+        ("regions", ["face", "face", "not_t"])])
+    def test_uncuttable_region_geometry_exits_2(self, tmp_path, key, value):
+        cfg = write_config(tmp_path / "c.json", **{key: value},
+                           output_dir=str(tmp_path / "out"))
+        assert run_command(["synth", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=4))
     def test_config_from_dict_fails_closed(self, data):
@@ -128,6 +139,18 @@ class TestMetricsCommand:
         counts.write_text("1,2,3\n4,5,6\n")
         cfg = write_config(tmp_path / "c.json", counts_csv=str(counts))
         assert run_command(["metrics", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("table, lineno", [
+        ("30,10\n20,40\n7.5,1\n", 3),
+        ("30,10\nkin,nonkin\n20,40\n", 2),
+    ])
+    def test_non_integer_line_after_the_first_exit_3(self, tmp_path, capsys,
+                                                     table, lineno):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(table)
+        cfg = write_config(tmp_path / "c.json", counts_csv=str(counts))
+        assert run_command(["metrics", "--config", str(cfg)]) == 3
+        assert f"counts line {lineno} " in capsys.readouterr().err
 
     def test_missing_counts_path_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -10,14 +10,18 @@ from fcdbn.kvrl import (
     KvrlModel,
     ModelStateError,
     RegionFractions,
+    RegionSet,
+    _span,
+    cut_regions,
     encode_face,
     encode_images,
     extract_regions,
     kin_score,
     pair_features,
-    prepare_region,
     pretrain_stages,
+    resize_bilinear,
     score_pairs,
+    standardize,
     t_mask,
     train_kvrl,
 )
@@ -40,6 +44,49 @@ def zero_model():
                 "not_t": zero_stack([1024, 8])},
         stage2=zero_stack([24, 8]),
     )
+
+
+def reference_prepare(image, size):
+    """One-image resize and standardize, as the cutter did before stacks."""
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    if (h, w) != (size, size):
+        r_src = np.clip((np.arange(size) + 0.5) * (h / size) - 0.5, 0, h - 1)
+        c_src = np.clip((np.arange(size) + 0.5) * (w / size) - 0.5, 0, w - 1)
+        r0 = np.floor(r_src).astype(int)
+        c0 = np.floor(c_src).astype(int)
+        r1 = np.minimum(r0 + 1, h - 1)
+        c1 = np.minimum(c0 + 1, w - 1)
+        fr = (r_src - r0)[:, None]
+        fc = (c_src - c0)[None, :]
+        top = image[np.ix_(r0, c0)] * (1 - fc) + image[np.ix_(r0, c1)] * fc
+        bot = image[np.ix_(r1, c0)] * (1 - fc) + image[np.ix_(r1, c1)] * fc
+        image = top * (1 - fr) + bot * fr
+    std = image.std()
+    if std < 1e-8:
+        return np.zeros_like(image)
+    return (image - image.mean()) / std
+
+
+def reference_regions(aligned_face, fractions=None, size=32,
+                      extras=("binocular", "chin")):
+    """Every crop of one face, cut one image at a time: name -> array."""
+    img = np.asarray(aligned_face, dtype=np.float64)
+    fractions = fractions or RegionFractions()
+    mean = img.mean()
+    mask = t_mask(img.shape, fractions)
+    rows = np.where(mask.any(axis=1))[0]
+    cols = np.where(mask.any(axis=0))[0]
+    t_crop = np.where(mask, img, mean)[rows[0]:rows[-1] + 1,
+                                       cols[0]:cols[-1] + 1]
+    out = {"face": reference_prepare(img, size),
+           "t_region": reference_prepare(t_crop, size),
+           "not_t": reference_prepare(np.where(mask, mean, img), size)}
+    extra_rows = {"binocular": fractions.eye_rows, "chin": fractions.chin_rows}
+    for name in extras:
+        r0, r1 = _span(extra_rows[name], img.shape[0])
+        out[name] = reference_prepare(img[r0:r1, :], size)
+    return out
 
 
 def tiny_config(seed=0, **overrides):
@@ -85,9 +132,9 @@ class TestExtractRegions:
             extract_regions(np.zeros((32, 32)))
 
     def test_face_channel_idempotent(self):
-        img = RngStream(seed=1).uniform01(32 * 32).reshape(32, 32)
-        once = prepare_region(img)
-        twice = prepare_region(once)
+        stack = RngStream(seed=1).uniform01(3 * 32 * 32).reshape(3, 32, 32)
+        once = standardize(resize_bilinear(stack, 32, 32))
+        twice = standardize(resize_bilinear(once, 32, 32))
         assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_extras_available_on_request(self):
@@ -106,6 +153,70 @@ class TestExtractRegions:
         assert mask[20, 0] and mask[20, 63]  # eye strip spans full width
         assert mask[40, 32] and not mask[40, 0]  # nose column is narrow
         assert not mask[60, 32]  # chin area untouched
+
+
+class TestCutRegions:
+    @staticmethod
+    def images():
+        corpus, pairs, _ = make_kin_benchmark(
+            seed=14, n_families=4, members_per_family=3, separability=0.8,
+            n_test_pairs=4, corpus_families=3)
+        stream = RngStream(seed=15)
+        images = list(corpus[:6]) + [a for a, _, _ in pairs[:4]]
+        images += [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(6)]
+        images += [np.full((64, 64), 0.3), np.zeros((64, 64))]
+        images.append(stream.uniform01(64 * 64).reshape(64, 64)
+                      .astype(np.float32))
+        # 19 images: not a multiple of the block size
+        assert len(images) % fcdbn.kvrl._BLOCK != 0
+        return images
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("fractions", [
+        None,
+        RegionFractions(eye_rows=(0.2, 0.5), chin_rows=(0.6, 1.0)),
+        RegionFractions(eye_rows=(0.0, 0.1), nose_rows=(0.1, 0.99),
+                        nose_cols=(0.01, 0.02), chin_rows=(0.9, 0.99)),
+    ])
+    def test_equals_one_image_at_a_time(self, size, fractions):
+        images = self.images()
+        cut = list(cut_regions(images, fractions, size,
+                               extras=("binocular", "chin")))
+        assert len(cut) == len(images)
+        for regions, img in zip(cut, images):
+            ref = reference_regions(img, fractions, size)
+            assert list(regions.extras) == ["binocular", "chin"]
+            for name, crop in ref.items():
+                assert regions.get(name).shape == (size, size)
+                assert np.array_equal(regions.get(name), crop)
+
+    def test_stack_array_and_one_image_callers_agree(self):
+        images = self.images()[:-1]  # one dtype, so they stack
+        from_list = list(cut_regions(images))
+        from_array = list(cut_regions(np.stack(images)))
+        for img, a, b in zip(images, from_list, from_array):
+            one = extract_regions(img)
+            for name in ("face", "t_region", "not_t"):
+                assert np.array_equal(a.get(name), b.get(name))
+                assert np.array_equal(a.get(name), one.get(name))
+
+    def test_default_names_in_extras_are_ignored(self):
+        img = RngStream(seed=16).uniform01(64 * 64).reshape(64, 64)
+        regions = extract_regions(img, extras=("face", "chin", "not_t"))
+        assert list(regions.extras) == ["chin"]
+
+    @pytest.mark.parametrize("field", ["eye_rows", "nose_rows", "chin_rows"])
+    def test_top_edge_range_cuts_the_last_row(self, field):
+        img = RngStream(seed=17).uniform01(64 * 64).reshape(64, 64)
+        fractions = RegionFractions(**{field: (0.995, 1.0)})
+        assert _span((0.995, 1.0), 64) == (63, 64)
+        regions = extract_regions(img, fractions, extras=("binocular", "chin"))
+        ref = reference_regions(img, fractions)
+        for name, crop in ref.items():
+            assert np.array_equal(regions.get(name), crop)
+        if field == "chin_rows":
+            last = standardize(resize_bilinear(img[None, 63:], 32, 32))[0]
+            assert np.array_equal(regions.extras["chin"], last)
 
 
 class TestEncodeFace:
@@ -146,6 +257,22 @@ class TestEncodeImages:
         for row, img in zip(codes, corpus):
             expected = encode_face(model, extract_regions(
                 img, model.fractions, model.region_size, extras=extras))
+            assert np.array_equal(row, expected)
+
+    def test_rows_over_several_blocks_equal_encode_face(self):
+        stream = RngStream(seed=18)
+        n = 2 * fcdbn.kvrl._BLOCK + 3
+        images = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(n)]
+        model = pretrain_stages(images[:6], tiny_config(
+            epochs=1, regions=("face", "t_region", "not_t", "chin"),
+            stage2_dims=(32, 16, 8)))
+        codes = encode_images(model, images)
+        assert codes.shape == (n, 8)
+        for row, img in zip(codes, images):
+            ref = reference_regions(img, extras=("chin",))
+            expected = encode_face(model, RegionSet(
+                face=ref["face"], t_region=ref["t_region"],
+                not_t=ref["not_t"], extras={"chin": ref["chin"]}))
             assert np.array_equal(row, expected)
 
     def test_each_distinct_image_encoded_once(self, monkeypatch):

@@ -18,6 +18,7 @@ from fcdbn.kvrl import (
     DEFAULT_REGIONS,
     KvrlModel,
     encode_face,
+    encode_images,
     extract_regions,
     pretrain_stages,
 )
@@ -216,6 +217,7 @@ def hand_model(n_filters=2, gaussian=True, seed=0):
         classifier=MlpModel(weights=[rng.normal(size=(4, 3)),
                                      rng.normal(size=(3, 1))],
                             biases=[rng.normal(size=3), rng.normal(size=1)]),
+        region_size=4,
     )
 
 
@@ -433,6 +435,36 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError):
             load_model(write_doc(doc, tmp_path / "bad.json"))
 
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.update(regions=["face", "t_region", "nose"],
+                           stage1={**p["stage1"],
+                                   "nose": p["stage1"]["not_t"]}),
+        lambda p: p.update(regions=["face", "face", "not_t"]),
+        lambda p: p.update(region_size=16),
+        lambda p: p.update(region_size=0),
+        lambda p: p.update(region_size=-4),
+        lambda p: p["fractions"].update(eye_rows=[0.25]),
+        lambda p: p["fractions"].update(nose_rows=[0.75, 0.25]),
+        lambda p: p["fractions"].update(nose_cols=[0.35, 7.0]),
+        lambda p: p["stage1"]["face"]["layers"][0].update(
+            image_shape=[2, 8], filters=[storage._arr(np.ones((1, 1)))]),
+    ], ids=["unknown-region", "repeated-region", "region-size-vs-width", "zero-region-size",
+            "negative-region-size", "one-element-range", "reversed-range",
+            "range-past-1", "filter-image-shape-vs-region-size"])
+    def test_uncuttable_geometry_rejected(self, tmp_path, mutate):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        mutate(doc["payload"])
+        with pytest.raises(ModelFormatError):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+    def test_top_edge_ranges_load_and_encode(self, tmp_path):
+        doc = saved_doc(hand_model(), tmp_path / "m.json")
+        doc["payload"]["fractions"].update(eye_rows=[0.995, 1.0],
+                                           nose_rows=[0.995, 1.0])
+        model = load_model(write_doc(doc, tmp_path / "edge.json"))
+        code = encode_images(model, [FUZZ_FACE])
+        assert code.shape == (1, 2) and np.isfinite(code).all()
+
     def test_payload_list_fails_closed(self, tmp_path):
         doc = saved_doc(hand_model(), tmp_path / "m.json")
         doc["payload"] = [1, 2]
@@ -465,6 +497,8 @@ def fuzz_docs(tmp_path_factory):
     return docs
 
 
+FUZZ_FACE = RngStream(seed=21).uniform01(64 * 64).reshape(64, 64)
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6),
@@ -490,9 +524,13 @@ class TestMutatedDocuments:
         target = tmp_path_factory.getbasetemp() / "fuzz.json"
         target.write_text(json.dumps(doc))
         try:
-            load_model(target)
+            model = load_model(target)
         except ModelFormatError:
-            pass
+            return
+        if isinstance(model, KvrlModel):
+            code = encode_images(model, [FUZZ_FACE])
+            assert code.shape == (1, model.stage2.layer_dims[-1])
+            assert np.isfinite(code).all()
 
 
 class TestAtomicWrite:
