@@ -133,10 +133,8 @@ class RunConfig:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
     def region_fractions(self):
-        return RegionFractions(eye_rows=tuple(self.eye_rows),
-                               nose_rows=tuple(self.nose_rows),
-                               nose_cols=tuple(self.nose_cols),
-                               chin_rows=tuple(self.chin_rows))
+        return RegionFractions(**{f.name: tuple(getattr(self, f.name))
+                                  for f in fields(RegionFractions)})
 
     def rbm_config(self, seed_offset=0):
         return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
@@ -153,8 +151,8 @@ class RunConfig:
 def _check_type(key, value, default):
     """Raise ConfigError unless a JSON value fits the type of the field default.
 
-    bool is never a number; a float field also takes an int in float range;
-    a tuple field takes a list whose items fit the default's first item.
+    Scalars are checked by ``scalar_fits``; a tuple field takes a list whose
+    items fit the default's first item.
     """
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
@@ -163,14 +161,18 @@ def _check_type(key, value, default):
             _check_type(key, item, default[0])
         return
     kind = type(default)
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        ok = abs(value) <= sys.float_info.max
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
+    if not scalar_fits(kind, value):
         raise ConfigError(f"{key} must hold {kind.__name__} values, got {value!r}")
+
+
+def scalar_fits(kind, value):
+    """Whether a JSON scalar fits type ``kind``: bool is never a number, and
+    a float field also takes an int in float range."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 def config_from_dict(data):

@@ -23,6 +23,7 @@ from .rbm import (
     BERNOULLI,
     GAUSSIAN,
     DivergenceError,
+    RbmLayer,
     _aggregate_rows,
     cd_train,
     hidden_given_visible,
@@ -48,7 +49,7 @@ class FcOptions:
 
 @dataclass
 class DbnStack:
-    layers: list
+    layers: list[RbmLayer]
 
     @property
     def layer_dims(self):
@@ -125,8 +126,8 @@ def encode(stack, v):
 class MlpModel:
     """Feed-forward sigmoid net with a 1-unit sigmoid head."""
 
-    weights: list
-    biases: list
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     dropout_input: float = 0.0
     dropout_hidden: float = 0.0
 

@@ -10,6 +10,7 @@ scoring takes its face-score vector and kin-score matrix (``fused_scores``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,10 @@ class GaussianMixture:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    loglik_history: list = field(default_factory=list)
-    converged: bool = False  # EM stopped on tol, not on max_iter
+    # fit results, not saved with the model (converged: EM stopped on tol)
+    loglik_history: list[float] = field(default_factory=list,
+                                        metadata={"saved": False})
+    converged: bool = field(default=False, metadata={"saved": False})
 
     @property
     def n_components(self):
@@ -73,6 +76,14 @@ class GaussianMixture:
     @property
     def n_iter(self):
         return len(self.loglik_history)
+
+    def validate(self):
+        """Check component arrays and ranges; raises ValueError."""
+        if not (self.weights.ndim == 1 and self.weights.size and
+                self.weights.shape == self.means.shape == self.variances.shape):
+            raise ValueError("mixture needs equal-length 1-D component arrays")
+        if (self.variances <= 0).any() or (self.weights < 0).any():
+            raise ValueError("mixture variances must be > 0 and weights >= 0")
 
 
 def _log_joint(x, weights, means, variances):
@@ -195,6 +206,14 @@ class SvmModel:
     degenerate: bool = False
     majority: int = 1
     margin: float = 0.0
+
+    def validate(self):
+        """Check array shapes and that b and margin are finite; raises ValueError."""
+        if self.w.ndim != 1 or not (
+                self.w.shape == self.feat_mean.shape == self.feat_std.shape):
+            raise ValueError("svm w, feat_mean and feat_std differ in shape")
+        if not (math.isfinite(self.b) and math.isfinite(self.margin)):
+            raise ValueError("svm b and margin must be finite")
 
 
 def svm_fit(scores, reg=1e-3, epochs=2000, learning_rate=0.1):

@@ -27,6 +27,7 @@ from .core import RngStream
 from .deepnet import (
     DbnStack,
     FcOptions,
+    MlpModel,
     bake_input_scaler,
     encode,
     greedy_pretrain,
@@ -55,10 +56,10 @@ _BLOCK = 4
 class RegionFractions:
     """Fractional rectangles defining the T mask and the extra crops."""
 
-    eye_rows: tuple = (0.25, 0.45)
-    nose_rows: tuple = (0.25, 0.75)
-    nose_cols: tuple = (0.35, 0.65)
-    chin_rows: tuple = (0.65, 1.0)
+    eye_rows: tuple[float, ...] = (0.25, 0.45)
+    nose_rows: tuple[float, ...] = (0.25, 0.75)
+    nose_cols: tuple[float, ...] = (0.35, 0.65)
+    chin_rows: tuple[float, ...] = (0.65, 1.0)
 
 
 @dataclass
@@ -230,10 +231,10 @@ def extract_regions(aligned_face, fractions=None, size=32, extras=()):
 class KvrlModel:
     """Per-region stacks, fusion stack, and the pair classifier."""
 
-    stage1: dict
+    stage1: dict[str, DbnStack]
     stage2: DbnStack
-    classifier: object = None
-    regions: tuple = DEFAULT_REGIONS
+    classifier: MlpModel | None = None
+    regions: tuple[str, ...] = DEFAULT_REGIONS
     fractions: RegionFractions = field(default_factory=RegionFractions)
     region_size: int = 32
 

@@ -16,7 +16,7 @@ is bounded below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ GAUSSIAN = "gaussian"
 # filter update stabilizers (see cd_train)
 FILTER_RATE_DAMPING = 10.0
 FILTER_GRAD_CLIP = 1.0
+# smallest visible noise scale; keeps encoding finite (see storage._from_arr)
+SIGMA_MIN = 1e-50
 
 
 class DivergenceError(RuntimeError):
@@ -81,10 +83,10 @@ class RbmLayer:
     b: np.ndarray
     unit_kind: str = BERNOULLI
     sigma: np.ndarray | None = None
-    filters: list = field(default_factory=list)
+    filters: list[np.ndarray] = field(default_factory=list)
     alpha: float = 0.0
     beta: float = 0.0
-    image_shape: tuple | None = None
+    image_shape: tuple[int, ...] | None = None
 
     @property
     def n_visible(self):
@@ -101,7 +103,8 @@ class RbmLayer:
     def validate(self):
         """Check shapes, unit kind and settings; raises ValueError.
 
-        Weight values are not checked: NaN and Inf weights pass.
+        sigma must be >= SIGMA_MIN. Other values are not checked here (NaN
+        and Inf weights pass); ``storage.load_model`` bounds every array.
         """
         W, a, b = self.W, self.a, self.b
         if W.ndim != 2 or a.shape != (W.shape[1],) or b.shape != (W.shape[0],):
@@ -114,8 +117,8 @@ class RbmLayer:
             raise ValueError("sigma is required for gaussian units and "
                              "allowed only for them")
         if self.sigma is not None and (self.sigma.shape != (d,)
-                                       or not np.all(self.sigma > 0)):
-            raise ValueError(f"sigma must have shape ({d},) and be > 0")
+                                       or not np.all(self.sigma >= SIGMA_MIN)):
+            raise ValueError(f"sigma must have shape ({d},) and be >= {SIGMA_MIN}")
         shape = self.image_shape
         if shape is not None and not (
                 len(shape) == 2
@@ -140,17 +143,9 @@ class RbmLayer:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def copy(self):
-        return RbmLayer(
-            W=self.W.copy(),
-            a=self.a.copy(),
-            b=self.b.copy(),
-            unit_kind=self.unit_kind,
-            sigma=None if self.sigma is None else self.sigma.copy(),
-            filters=[f.copy() for f in self.filters],
-            alpha=self.alpha,
-            beta=self.beta,
-            image_shape=self.image_shape,
-        )
+        return replace(self, W=self.W.copy(), a=self.a.copy(), b=self.b.copy(),
+                       sigma=None if self.sigma is None else self.sigma.copy(),
+                       filters=[f.copy() for f in self.filters])
 
 
 def init_layer(n_visible, n_hidden, stream, unit_kind=BERNOULLI, n_filters=0,

@@ -2,28 +2,33 @@
 
 Everything is written atomically (a uniquely named temp file in the
 target's directory, then a rename) so failed commands never leave partial
-artifacts behind. A model document is JSON; each weight array in it is an
-object ``{"shape": [...], "f8": <base64 of little-endian float64>}``, which
-round-trips exactly. Version 1 documents, which hold arrays as nested lists
-of decimal numbers, still load. Loading fails closed: a non-finite weight,
-a dropout rate outside [0, 1) or a mixture variance <= 0 is rejected.
+artifacts behind.
+
+A model document is JSON: format tag, version, kind, and a payload that is
+the model's saved dataclass fields by name. Each array is an object
+``{"shape": [...], "f8": <base64 of little-endian float64>}``, which
+round-trips exactly; version 1 documents, with arrays as nested lists of
+decimals, still load. Loading fails closed (``ModelFormatError``): see
+``_from_doc``, ``_from_arr`` and each model class's ``validate``.
 """
 from __future__ import annotations
 
 import base64
 import csv
+import functools
 import json
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .deepnet import DbnStack, MlpModel
-from .fusion import GaussianMixture, PlrModels, SvmModel
-from .kvrl import KvrlModel, RegionFractions
-from .rbm import RbmLayer
+from .config import scalar_fits
+from .fusion import PlrModels, SvmModel
+from .kvrl import KvrlModel
 
 MODEL_FORMAT = "fcdbn-model"
 MODEL_VERSION = 2
@@ -134,228 +139,163 @@ def save_pgm(path, image):
 
 # --- model persistence ------------------------------------------------------
 
+_KINDS = {"kvrl": KvrlModel, "plr": PlrModels, "svm": SvmModel}
+# Largest magnitude of a stored array value; see _from_arr.
+MAX_STORED_ABS = 1e50
+
+
 def _arr(a):
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape),
             "f8": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _from_arr(x):
+def _from_arr(x, where):
     """Decode an array saved by ``_arr``, or a version-1 nested list.
 
-    Either way, a NaN or infinite value raises ``ModelFormatError``.
+    A value that is NaN, infinite or beyond +-MAX_STORED_ABS (M) raises
+    ``ModelFormatError``. With sigma >= rbm.SIGMA_MIN (S) this keeps encoding
+    a standardized crop finite: its D pixels have sum(|x|) <= D, so K filters
+    of T <= D taps give sum(|v|) <= K * D**2 * M, and a first-layer
+    pre-activation (v / sigma) @ W + a, with every partial sum, stays within
+    K * D**2 * M**2 / S + M = K * D**2 * 1e150 + 1e50. That is below the
+    float64 maximum 1.8e308 while K * D**2 < 1e158: for 64x64 crops
+    (D**2 ~ 1.7e7), any filter count that fits in memory. Later layers and
+    the classifier see sigmoid outputs in (0, 1), so they stay within
+    (D + 1) * M. M = 1e100 and S = 1e-100 would give K * D**2 * 1e300, which
+    can overflow once K * D**2 > 1.8e8 (64x64 crops, 11 full-size filters).
     """
-    a = np.array(x, dtype=np.float64) if isinstance(x, list) else _decode_f8(x)
-    if not np.isfinite(a).all():
-        raise ModelFormatError("array holds non-finite values")
+    a = np.array(x, dtype=np.float64) if isinstance(x, list) \
+        else _decode_f8(x, where)
+    # min/max need no temporary array; NaN fails both comparisons
+    if a.size and not -MAX_STORED_ABS <= a.min() <= a.max() <= MAX_STORED_ABS:
+        raise ModelFormatError(
+            f"{where} holds a value that is NaN or beyond +-{MAX_STORED_ABS:g}")
     return a
 
 
-def _decode_f8(x):
+def _decode_f8(x, where):
     """The array of a version-2 ``{"shape": [...], "f8": ...}`` object."""
     if not isinstance(x, dict):
-        raise ModelFormatError(f"array must be an object, got {type(x).__name__}")
+        raise ModelFormatError(f"{where} must be an array object")
     shape, f8 = x.get("shape"), x.get("f8")
     if not (isinstance(shape, list)
             and all(type(n) is int and n >= 0 for n in shape)):
-        raise ModelFormatError(f"array shape must be non-negative ints: {shape!r}")
+        raise ModelFormatError(f"{where} shape must be non-negative ints")
     if not isinstance(f8, str):
-        raise ModelFormatError("array is missing its base64 f8 data")
+        raise ModelFormatError(f"{where} is missing its base64 f8 data")
     try:
         raw = base64.b64decode(f8, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise ModelFormatError(f"array f8 is not base64: {exc}") from exc
+        raise ModelFormatError(f"{where} f8 is not base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
-        raise ModelFormatError(
-            f"array f8 holds {len(raw)} bytes, shape {shape} needs "
-            f"{8 * math.prod(shape)}")
+        raise ModelFormatError(f"{where} f8 holds {len(raw)} bytes, shape "
+                               f"{shape} needs {8 * math.prod(shape)}")
     # bytearray gives a writable buffer, so loaded weights can be edited.
     return np.frombuffer(bytearray(raw), dtype="<f8").reshape(shape).astype(
         np.float64, copy=False)
 
 
-def _layer_doc(layer):
-    return {
-        "W": _arr(layer.W),
-        "a": _arr(layer.a),
-        "b": _arr(layer.b),
-        "unit_kind": layer.unit_kind,
-        "sigma": None if layer.sigma is None else _arr(layer.sigma),
-        "filters": [_arr(f) for f in layer.filters],
-        "alpha": layer.alpha,
-        "beta": layer.beta,
-        "image_shape": None if layer.image_shape is None
-        else list(layer.image_shape),
-    }
+@functools.cache
+def _saved_fields(cls):
+    """Saved field name -> annotated type, in field order, of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if f.metadata.get("saved", True)}
 
 
-def _layer_from_doc(doc):
-    layer = RbmLayer(
-        W=_from_arr(doc["W"]),
-        a=_from_arr(doc["a"]),
-        b=_from_arr(doc["b"]),
-        unit_kind=doc["unit_kind"],
-        sigma=None if doc["sigma"] is None else _from_arr(doc["sigma"]),
-        filters=[_from_arr(f) for f in doc["filters"]],
-        alpha=float(doc["alpha"]),
-        beta=float(doc["beta"]),
-        image_shape=None if doc["image_shape"] is None
-        else tuple(doc["image_shape"]),
-    )
-    layer.validate()
-    return layer
+def _to_doc(value):
+    """JSON form of a model value: a dataclass as an object of its saved
+    fields, an array through ``_arr``, a tuple as a list."""
+    if is_dataclass(value):
+        return {name: _to_doc(getattr(value, name))
+                for name in _saved_fields(type(value))}
+    if isinstance(value, np.ndarray):
+        return _arr(value)
+    if isinstance(value, dict):
+        return {key: _to_doc(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_doc(v) for v in value]
+    return value
 
 
-def _stack_doc(stack):
-    return {"layers": [_layer_doc(l) for l in stack.layers]}
+def _from_doc(hint, node, where):
+    """Rebuild a value of annotated type ``hint`` (dataclass, array, list,
+    tuple, dict, ``T | None`` or a scalar type, checked by ``scalar_fits``)
+    from its JSON form. Errors name ``where``, the value's path."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # T | None
+        return None if node is None else _from_doc(args[0], node, where)
+    if hint is np.ndarray:
+        return _from_arr(node, where)
+    if is_dataclass(hint):
+        return _object_from_doc(hint, node, where)
+    if origin is dict and isinstance(node, dict):
+        return {key: _from_doc(args[1], v, f"{where}.{key}")
+                for key, v in node.items()}
+    if origin in (list, tuple) and isinstance(node, list):
+        items = [_from_doc(args[0], v, f"{where}[{i}]")
+                 for i, v in enumerate(node)]
+        return items if origin is list else tuple(items)
+    if origin is None and scalar_fits(hint, node):
+        return node
+    raise ModelFormatError(f"{where} must be {hint.__name__}, got {node!r:.40}")
 
 
-def _stack_from_doc(doc):
-    stack = DbnStack(layers=[_layer_from_doc(l) for l in doc["layers"]])
-    stack.validate()
-    return stack
-
-
-def _mlp_doc(mlp):
-    return {
-        "weights": [_arr(w) for w in mlp.weights],
-        "biases": [_arr(b) for b in mlp.biases],
-        "dropout_input": mlp.dropout_input,
-        "dropout_hidden": mlp.dropout_hidden,
-    }
-
-
-def _mlp_from_doc(doc):
-    mlp = MlpModel(
-        weights=[_from_arr(w) for w in doc["weights"]],
-        biases=[_from_arr(b) for b in doc["biases"]],
-        dropout_input=float(doc["dropout_input"]),
-        dropout_hidden=float(doc["dropout_hidden"]),
-    )
-    mlp.validate()
-    return mlp
-
-
-def _gmm_doc(g):
-    return {"weights": _arr(g.weights), "means": _arr(g.means),
-            "variances": _arr(g.variances)}
-
-
-def _gmm_from_doc(doc):
-    g = GaussianMixture(weights=_from_arr(doc["weights"]),
-                        means=_from_arr(doc["means"]),
-                        variances=_from_arr(doc["variances"]))
-    if not (g.weights.shape == g.means.shape == g.variances.shape):
-        raise ModelFormatError("mixture component arrays differ in length")
-    if (g.variances <= 0).any() or (g.weights < 0).any():
+def _object_from_doc(cls, node, where):
+    """A ``cls`` built from exactly its saved fields, then validated."""
+    if not isinstance(node, dict):
+        raise ModelFormatError(f"{where} must be an object")
+    hints = _saved_fields(cls)
+    if node.keys() != hints.keys():
         raise ModelFormatError(
-            "mixture variances must be > 0 and weights >= 0")
-    return g
+            f"{where} keys: missing {sorted(hints.keys() - node.keys())}, "
+            f"unknown {sorted(node.keys() - hints.keys())}")
+    obj = cls(**{name: _from_doc(hint, node[name], f"{where}.{name}")
+                 for name, hint in hints.items()})
+    try:
+        getattr(obj, "validate", lambda: None)()
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from exc
+    return obj
 
 
 def save_model(model, path):
     """Serialize a KVRL, PLR, or SVM model to a JSON text document."""
-    if isinstance(model, KvrlModel):
-        kind, payload = "kvrl", {
-            "regions": list(model.regions),
-            "region_size": model.region_size,
-            "fractions": {
-                "eye_rows": list(model.fractions.eye_rows),
-                "nose_rows": list(model.fractions.nose_rows),
-                "nose_cols": list(model.fractions.nose_cols),
-                "chin_rows": list(model.fractions.chin_rows),
-            },
-            "stage1": {name: _stack_doc(s) for name, s in model.stage1.items()},
-            "stage2": _stack_doc(model.stage2),
-            "classifier": None if model.classifier is None
-            else _mlp_doc(model.classifier),
-        }
-    elif isinstance(model, PlrModels):
-        kind, payload = "plr", {
-            "s_genuine": _gmm_doc(model.s_genuine),
-            "s_impostor": _gmm_doc(model.s_impostor),
-            "k_kin": _gmm_doc(model.k_kin),
-            "k_nonkin": _gmm_doc(model.k_nonkin),
-        }
-    elif isinstance(model, SvmModel):
-        kind, payload = "svm", {
-            "w": _arr(model.w), "b": model.b,
-            "feat_mean": _arr(model.feat_mean), "feat_std": _arr(model.feat_std),
-            "degenerate": model.degenerate, "majority": model.majority,
-            "margin": model.margin,
-        }
-    else:
+    kind = {cls: k for k, cls in _KINDS.items()}.get(type(model))
+    if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-           "kind": kind, "payload": payload}
+           "kind": kind, "payload": _to_doc(model)}
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_model(path):
     """Reconstruct a saved model; fails closed on any inconsistency.
 
-    Every defect in the document, including a missing key or a value of the
-    wrong type, raises ``ModelFormatError``.
+    Every defect in the document, including a missing or unknown key or a
+    value of the wrong type, raises ``ModelFormatError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not a model document: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise ModelFormatError("missing fcdbn-model format tag")
+    if doc.get("version") not in (1, MODEL_VERSION):
+        raise ModelFormatError(f"unsupported model version {doc.get('version')}")
+    kind = doc.get("kind")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ModelFormatError(f"unknown model kind {kind!r:.40}")
     try:
-        return _model_from_doc(doc)
+        return _from_doc(_KINDS[kind], doc.get("payload"), "payload")
     except ModelFormatError:
         raise
     except (LookupError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         raise ModelFormatError(
             f"malformed model document: {type(exc).__name__}: {exc}") from exc
-
-
-def _model_from_doc(doc):
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ModelFormatError("missing fcdbn-model format tag")
-    if doc.get("version") not in (1, MODEL_VERSION):
-        raise ModelFormatError(f"unsupported model version {doc.get('version')}")
-    kind = doc.get("kind")
-    payload = doc.get("payload", {})
-    if kind == "kvrl":
-        fr = payload["fractions"]
-        model = KvrlModel(
-            stage1={name: _stack_from_doc(s)
-                    for name, s in payload["stage1"].items()},
-            stage2=_stack_from_doc(payload["stage2"]),
-            classifier=None if payload["classifier"] is None
-            else _mlp_from_doc(payload["classifier"]),
-            regions=tuple(payload["regions"]),
-            fractions=RegionFractions(
-                eye_rows=tuple(fr["eye_rows"]),
-                nose_rows=tuple(fr["nose_rows"]),
-                nose_cols=tuple(fr["nose_cols"]),
-                chin_rows=tuple(fr["chin_rows"]),
-            ),
-            region_size=int(payload["region_size"]),
-        )
-        model.validate()
-        return model
-    if kind == "plr":
-        return PlrModels(s_genuine=_gmm_from_doc(payload["s_genuine"]),
-                         s_impostor=_gmm_from_doc(payload["s_impostor"]),
-                         k_kin=_gmm_from_doc(payload["k_kin"]),
-                         k_nonkin=_gmm_from_doc(payload["k_nonkin"]))
-    if kind == "svm":
-        model = SvmModel(w=_from_arr(payload["w"]),
-                         b=float(payload["b"]),
-                         feat_mean=_from_arr(payload["feat_mean"]),
-                         feat_std=_from_arr(payload["feat_std"]),
-                         degenerate=bool(payload["degenerate"]),
-                         majority=int(payload["majority"]),
-                         margin=float(payload["margin"]))
-        if not (math.isfinite(model.b) and math.isfinite(model.margin)):
-            raise ModelFormatError("svm b and margin must be finite")
-        return model
-    raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
 # --- pair manifests ---------------------------------------------------------

@@ -21,8 +21,9 @@ from fcdbn.kvrl import (
     encode_images,
     extract_regions,
     pretrain_stages,
+    score_pairs,
 )
-from fcdbn.rbm import GAUSSIAN, RbmLayer
+from fcdbn.rbm import GAUSSIAN, SIGMA_MIN, RbmLayer
 from fcdbn.storage import (
     KinPair,
     ModelFormatError,
@@ -196,7 +197,7 @@ class TestModelPersistence:
             load_model(path)
 
 
-def hand_model(n_filters=2, gaussian=True, seed=0):
+def hand_model(n_filters=2, gaussian=True, seed=0, classifier=True):
     """A tiny KVRL model built directly: 4x4 regions, 3 hidden units each."""
     rng = np.random.default_rng(seed)
 
@@ -216,7 +217,8 @@ def hand_model(n_filters=2, gaussian=True, seed=0):
         stage2=DbnStack([layer(9, 4), layer(4, 2)]),
         classifier=MlpModel(weights=[rng.normal(size=(4, 3)),
                                      rng.normal(size=(3, 1))],
-                            biases=[rng.normal(size=3), rng.normal(size=1)]),
+                            biases=[rng.normal(size=3), rng.normal(size=1)])
+        if classifier else None,
         region_size=4,
     )
 
@@ -235,9 +237,10 @@ def model_arrays(model):
                 out[f"{key}.sigma"] = layer.sigma
             for k, f in enumerate(layer.filters):
                 out[f"{key}.filter{k}"] = f
-    for i, (w, b) in enumerate(zip(model.classifier.weights,
-                                   model.classifier.biases)):
-        out.update({f"classifier.{i}.w": w, f"classifier.{i}.b": b})
+    if model.classifier is not None:
+        for i, (w, b) in enumerate(zip(model.classifier.weights,
+                                       model.classifier.biases)):
+            out.update({f"classifier.{i}.w": w, f"classifier.{i}.b": b})
     return out
 
 
@@ -272,8 +275,18 @@ def write_doc(doc, path):
     return path
 
 
-# finite values whose bits a decimal or base64 round trip could lose
-SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+def assert_fails_closed(tmp_path, kind, mutate):
+    """Save a model of ``kind``, mutate its payload, expect a load error."""
+    model = hand_model() if kind == "kvrl" else getattr(
+        fit_fusion(synth_scores(1, 60, 60), n_components=2, seed=1), kind)
+    doc = saved_doc(model, tmp_path / "m.json")
+    mutate(doc["payload"])
+    with pytest.raises(ModelFormatError):
+        load_model(write_doc(doc, tmp_path / "bad.json"))
+
+
+# legal values whose bits a decimal or base64 round trip could lose
+SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, storage.MAX_STORED_ABS,
                   np.finfo(np.float64).tiny)
 
 
@@ -299,17 +312,19 @@ class TestModelFormat:
         assert len(base64.b64decode(w["f8"], validate=True)) == 9 * 4 * 8
 
     def test_version_1_document_loads_to_equal_arrays(self, tmp_path):
-        model = hand_model()
-        model.stage2.layers[0].W[:, 0][:5] = SPECIAL_VALUES
-        v2 = tmp_path / "v2.json"
-        doc = to_v1(saved_doc(model, v2))
-        doc["version"] = 1
-        assert isinstance(doc["payload"]["stage2"]["layers"][0]["W"], list)
-        loaded = load_model(write_doc(doc, tmp_path / "v1.json"))
-        assert_bit_equal(model, loaded)
-        resaved = tmp_path / "resaved.json"
-        save_model(loaded, resaved)
-        assert resaved.read_bytes() == v2.read_bytes()
+        for model in (hand_model(), hand_model(classifier=False),
+                      hand_model(n_filters=0, gaussian=False)):
+            model.stage2.layers[0].W[:, 0][:5] = SPECIAL_VALUES
+            v2 = tmp_path / "v2.json"
+            doc = to_v1(saved_doc(model, v2))
+            doc["version"] = 1
+            assert isinstance(doc["payload"]["stage2"]["layers"][0]["W"],
+                              list)
+            loaded = load_model(write_doc(doc, tmp_path / "v1.json"))
+            assert_bit_equal(model, loaded)
+            resaved = tmp_path / "resaved.json"
+            save_model(loaded, resaved)
+            assert resaved.read_bytes() == v2.read_bytes()
 
     def test_fusion_models_load_from_version_1(self, tmp_path):
         fused = fit_fusion(synth_scores(1, 100, 100), n_components=2,
@@ -423,17 +438,72 @@ class TestModelFormat:
             weights=storage._arr([-0.5, 1.5]))),
         ("svm", lambda p: p.update(b=np.nan)),
         ("svm", lambda p: p.update(margin=np.inf)),
+        ("svm", lambda p: p.update(w=storage._arr(np.zeros(5)))),
+        ("plr", lambda p: p["k_kin"].update(
+            weights=storage._arr([]), means=storage._arr([]),
+            variances=storage._arr([]))),
+        ("kvrl", lambda p: p["stage2"].update(layers=[])),
     ], ids=["dropout-above-1", "nan-dropout", "negative-dropout",
             "missing-bias", "negative-variance", "zero-variance",
-            "negative-weight", "nan-svm-b", "inf-svm-margin"])
+            "negative-weight", "nan-svm-b", "inf-svm-margin",
+            "svm-shape-mismatch", "empty-mixture", "empty-stack"])
     def test_out_of_range_value_rejected(self, tmp_path, model, mutate):
-        fused = fit_fusion(synth_scores(1, 60, 60), n_components=2,
-                           seed=1)
-        models = {"kvrl": hand_model(), "plr": fused.plr, "svm": fused.svm}
-        doc = saved_doc(models[model], tmp_path / "m.json")
-        mutate(doc["payload"])
-        with pytest.raises(ModelFormatError):
-            load_model(write_doc(doc, tmp_path / "bad.json"))
+        assert_fails_closed(tmp_path, model, mutate)
+
+    @pytest.mark.parametrize("model,mutate", [
+        ("kvrl", lambda p: p.update(region_size=4.9)),
+        ("svm", lambda p: p.update(degenerate="no")),
+        ("svm", lambda p: p.update(majority=1.7)),
+        ("svm", lambda p: p.update(b="1e3")),
+        ("kvrl", lambda p: p["stage1"]["face"]["layers"][0].update(
+            alpha="0.05")),
+        ("kvrl", lambda p: p["stage1"]["face"]["layers"][0].update(
+            alpha=True)),
+        ("kvrl", lambda p: p["classifier"].update(dropout_input="0")),
+        ("plr", lambda p: p["k_kin"].update(loglik_history=[])),
+        ("kvrl", lambda p: p.update(comment="")),
+    ], ids=["float-region-size", "string-degenerate", "float-majority",
+            "string-svm-b", "string-alpha", "bool-alpha",
+            "string-dropout", "unknown-mixture-key", "unknown-payload-key"])
+    def test_wrong_typed_value_rejected(self, tmp_path, model, mutate):
+        assert_fails_closed(tmp_path, model, mutate)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p["stage1"]["face"]["layers"][0].update(
+            filters=[storage._arr(np.full((3, 3), np.finfo(float).max))] * 2),
+        lambda p: p["stage1"]["face"]["layers"][0].update(
+            sigma=storage._arr(np.full(16, 5e-324))),
+        lambda p: p["classifier"]["weights"][0].update(
+            storage._arr(np.full((4, 3), np.finfo(float).max))),
+        lambda p: p["stage2"]["layers"][0]["W"].update(
+            storage._arr(np.full((9, 4), -1.01 * storage.MAX_STORED_ABS))),
+        lambda p: p["stage1"]["face"]["layers"][0].update(
+            sigma=storage._arr(np.full(16, SIGMA_MIN * 0.99))),
+    ], ids=["max-filters", "subnormal-sigma", "max-classifier-weight",
+            "weight-past-bound", "sigma-below-floor"])
+    def test_values_that_overflow_encoding_rejected(self, tmp_path, mutate):
+        assert_fails_closed(tmp_path, "kvrl", mutate)
+
+    @pytest.mark.parametrize("n_filters", [1, 6])
+    def test_values_at_the_bounds_encode_finite(self, tmp_path, n_filters):
+        """Every array at +-MAX_STORED_ABS and sigma at SIGMA_MIN."""
+        model = hand_model(n_filters=n_filters)
+        for stack in [*model.stage1.values(), model.stage2]:
+            for layer in stack.layers:
+                for a in [layer.W, layer.a, layer.b, *layer.filters]:
+                    a[...] = storage.MAX_STORED_ABS
+                if layer.sigma is not None:
+                    layer.sigma[...] = SIGMA_MIN
+        for a in model.classifier.weights + model.classifier.biases:
+            a[...] = -storage.MAX_STORED_ABS
+        model = load_model(write_doc(saved_doc(model, tmp_path / "m.json"),
+                                     tmp_path / "bounds.json"))
+        spike = np.zeros((64, 64))
+        spike[20, 20] = 1.0
+        codes = encode_images(model, [FUZZ_FACE, spike])
+        assert np.isfinite(codes).all()
+        assert np.isfinite(score_pairs(model.classifier, codes[:1],
+                                       codes[1:])).all()
 
     @pytest.mark.parametrize("mutate", [
         lambda p: p.update(regions=["face", "t_region", "nose"],
