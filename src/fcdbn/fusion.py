@@ -29,7 +29,8 @@ class ScoreSet:
 
     label: 1 = genuine comparison, 0 = impostor, shape (N,). kin_label: one
     ground truth per kin score (True = kin), shape (N, n_kin); it defaults
-    to each row's label. Shapes and labels are checked (ValueError).
+    to each row's label. Shapes, labels and finite scores are checked
+    (ValueError).
     """
 
     s: np.ndarray
@@ -56,6 +57,8 @@ class ScoreSet:
         if not (np.isin(self.label, (0, 1)).all()
                 and np.isin(kin, (0, 1)).all()):
             raise ValueError("labels and kin labels must be 0 or 1")
+        if not (np.isfinite(self.s).all() and np.isfinite(self.k).all()):
+            raise ValueError("face and kin scores must be finite")
         self.kin_label = kin.astype(bool)
 
 
@@ -82,6 +85,9 @@ class GaussianMixture:
         if not (self.weights.ndim == 1 and self.weights.size and
                 self.weights.shape == self.means.shape == self.variances.shape):
             raise ValueError("mixture needs equal-length 1-D component arrays")
+        if not all(np.isfinite(a).all()
+                   for a in (self.weights, self.means, self.variances)):
+            raise ValueError("mixture weights, means and variances must be finite")
         if (self.variances <= 0).any() or (self.weights < 0).any():
             raise ValueError("mixture variances must be > 0 and weights >= 0")
 
@@ -105,12 +111,14 @@ def gmm_pdf(model, x):
     return np.exp(gmm_logpdf(model, x))
 
 
-def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-8):
+def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-5):
     """EM fit of a 1-D Gaussian mixture; deterministic given seed.
 
     Means start at distinct random samples, variances at the sample
-    variance. Iterates until the log-likelihood improves by less than tol
-    or max_iter is hit (``converged`` says which); variances floored at 1e-6.
+    variance. Stops at the first iteration whose total log-likelihood moves
+    by less than tol per sample (|LL_t - LL_{t-1}| < tol * N), or after
+    max_iter iterations (``converged`` says which); variances floored at
+    1e-6. Samples must be finite (ValueError).
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 2 * n_components:
@@ -118,6 +126,8 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-8):
             f"need at least {2 * n_components} samples for K={n_components}, "
             f"got {x.size}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("mixture samples must be finite")
     stream = RngStream(seed=seed)
     order = stream.permutation(x.size)
     means = x[order[:n_components]].astype(np.float64).copy()
@@ -137,7 +147,7 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-8):
         variances = (resp * (x[:, None] - means) ** 2).sum(axis=0) / nk
         variances = np.maximum(variances, VAR_FLOOR)
         history.append(loglik)
-        if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
+        if len(history) > 1 and abs(history[-1] - history[-2]) < tol * x.size:
             converged = True
             break
     return GaussianMixture(weights=weights, means=means, variances=variances,

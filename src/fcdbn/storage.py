@@ -165,13 +165,25 @@ def _from_arr(x, where):
     (D + 1) * M. M = 1e100 and S = 1e-100 would give K * D**2 * 1e300, which
     can overflow once K * D**2 > 1.8e8 (64x64 crops, 11 full-size filters).
     """
-    a = np.array(x, dtype=np.float64) if isinstance(x, list) \
-        else _decode_f8(x, where)
+    a = _decode_v1(x, where) if isinstance(x, list) else _decode_f8(x, where)
     # min/max need no temporary array; NaN fails both comparisons
     if a.size and not -MAX_STORED_ABS <= a.min() <= a.max() <= MAX_STORED_ABS:
         raise ModelFormatError(
             f"{where} holds a value that is NaN or beyond +-{MAX_STORED_ABS:g}")
     return a
+
+
+def _decode_v1(x, where):
+    """The array of a version-1 nested list, whose leaves must be JSON
+    numbers: a string or a bool raises rather than being converted."""
+    todo = [x]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, list):
+            todo.extend(node)
+        elif type(node) not in (int, float):
+            raise ModelFormatError(f"{where} holds {node!r:.40}, not a number")
+    return np.array(x, dtype=np.float64)
 
 
 def _decode_f8(x, where):
@@ -283,8 +295,9 @@ def load_model(path):
         raise ModelFormatError(f"not a model document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("missing fcdbn-model format tag")
-    if doc.get("version") not in (1, MODEL_VERSION):
-        raise ModelFormatError(f"unsupported model version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, MODEL_VERSION):
+        raise ModelFormatError(f"unsupported model version {version!r:.40}")
     kind = doc.get("kind")
     if not (isinstance(kind, str) and kind in _KINDS):
         raise ModelFormatError(f"unknown model kind {kind!r:.40}")

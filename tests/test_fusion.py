@@ -78,16 +78,48 @@ class TestFitGmm:
         assert np.array_equal(m1.means, m2.means)
         assert np.array_equal(m1.weights, m2.weights)
 
-    def test_default_fuse_fits_stop_at_max_iter(self):
-        # the default tol of 1e-8 is absolute, so the 3,000-sample class
-        # fits run out of iterations, and say so
+    def test_default_fuse_fits_converge_early(self):
+        # the per-sample rule stops the 1,500-sample class fits on the flat
+        # likelihood ridge of a single Gaussian long before max_iter
         for seed in range(4):
             models = fit_plr_models(synth_scores(seed, 1500, 1500),
                                     n_components=2, seed=seed)
             for fit in (models.s_genuine, models.s_impostor, models.k_kin,
                         models.k_nonkin):
-                assert fit.n_iter == 500
-                assert fit.converged is False
+                assert fit.converged is True
+                assert fit.n_iter <= 60
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [12, 300, 3000])
+    def test_stops_at_first_step_below_tol_per_sample(self, k, n):
+        stream = RngStream(seed=10 * k + n)
+        samples = np.concatenate([stream.gaussian(n // 2),
+                                  stream.gaussian(n - n // 2, mu=2.5,
+                                                  sigma=0.5)])
+        for tol, max_iter in ((1e-5, 500), (1e-3, 500), (1e-9, 40), (0.0, 7)):
+            fit = fit_gmm(samples, k, seed=k, max_iter=max_iter, tol=tol)
+            small = np.abs(np.diff(fit.loglik_history)) < tol * n
+            assert not small[:-1].any()
+            if fit.converged:
+                assert small[-1]
+            else:
+                assert fit.n_iter == max_iter and not small.any()
+        assert fit.converged is False  # tol 0 can never be met
+
+    def test_non_finite_samples_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fit_gmm([bad, 1.0, 0.5, 0.2, 3.0, 4.0], 2, seed=0)
+
+    @pytest.mark.parametrize("name", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_rejects_non_finite_components(self, name, bad):
+        fields = dict(weights=np.array([0.5, 0.5]), means=np.array([0.0, 1.0]),
+                      variances=np.array([1.0, 2.0]))
+        GaussianMixture(**fields).validate()
+        fields[name] = np.array([0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixture(**fields).validate()
 
     def test_single_component_converges(self):
         # the first M step lands on the sample moments, so the third
@@ -311,6 +343,15 @@ class TestArrayScoring:
             "label-2", "label-minus-1", "kin-label-half"])
     def test_score_set_rejects_bad_shapes_and_labels(self, fields):
         with pytest.raises(ValueError):
+            ScoreSet(**fields)
+
+    @pytest.mark.parametrize("field", ["s", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_score_set_rejects_non_finite_scores(self, field, bad):
+        fields = dict(s=[0.1, 0.3], k=[[0.2], [0.4]], label=[1, 0])
+        ScoreSet(**fields)
+        fields[field] = [0.1, bad] if field == "s" else [[0.2], [bad]]
+        with pytest.raises(ValueError, match="finite"):
             ScoreSet(**fields)
 
     def test_kin_label_defaults_to_row_label(self):

@@ -385,6 +385,26 @@ class TestModelFormat:
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2"])
+    def test_version_must_be_an_int(self, tmp_path, version):
+        plr = fit_fusion(synth_scores(1, 60, 60), methods=("plr",)).plr
+        doc = saved_doc(plr, tmp_path / "m.json")
+        doc["version"] = version
+        with pytest.raises(ModelFormatError, match="version"):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
+    @pytest.mark.parametrize("value", ["0.5", "1e3", True, False, None, {}])
+    def test_version_1_array_holds_only_numbers(self, tmp_path, value):
+        doc = to_v1(saved_doc(hand_model(), tmp_path / "m.json"))
+        doc["version"] = 1
+        bias = doc["payload"]["stage2"]["layers"][0]["b"]
+        bias[:2] = [1, 0]  # JSON ints are numbers
+        loaded = load_model(write_doc(doc, tmp_path / "ints.json"))
+        assert loaded.stage2.layers[0].b[:2].tolist() == [1.0, 0.0]
+        bias[:2] = [0.5, value]
+        with pytest.raises(ModelFormatError, match="not a number"):
+            load_model(write_doc(doc, tmp_path / "bad.json"))
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_missing_stage2_fails_closed(self, tmp_path, version):
         doc = saved_doc(hand_model(), tmp_path / "m.json")
