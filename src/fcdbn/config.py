@@ -45,10 +45,10 @@ class RunConfig:
     # regions
     regions: tuple = DEFAULT_REGIONS
     region_size: int = 32
-    eye_rows: tuple = (0.25, 0.45)
-    nose_rows: tuple = (0.25, 0.75)
-    nose_cols: tuple = (0.35, 0.65)
-    chin_rows: tuple = (0.65, 1.0)
+    eye_rows: tuple = RegionFractions.eye_rows
+    nose_rows: tuple = RegionFractions.nose_rows
+    nose_cols: tuple = RegionFractions.nose_cols
+    chin_rows: tuple = RegionFractions.chin_rows
 
     # fusion
     fusion_method: str = "plr"
@@ -103,6 +103,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.n_filters < 0 or self.filter_size < 1 or self.filter_size % 2 == 0:
             raise ConfigError("n_filters must be >= 0 and filter_size odd")
+        if self.n_filters and self.filter_size > self.region_size:
+            raise ConfigError("filter_size must be <= region_size when n_filters >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be >= 0")
         # stage 2 reads the stage-1 codes of every region side by side

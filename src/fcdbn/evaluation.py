@@ -22,6 +22,8 @@ from .core import RngStream
 
 TPR_AT_FPR_TARGETS = (0.001, 0.01, 0.1)
 Z_CRITICAL_95 = 1.96
+N_FOLDS = 5
+MAX_RESTARTS = 200
 
 
 class MatchingError(RuntimeError):
@@ -129,12 +131,12 @@ class RocResult:
     tpr_at_fpr: dict
 
 
-def roc(scores, labels, targets=TPR_AT_FPR_TARGETS):
+def roc(scores, labels):
     """Threshold sweep over distinct scores (higher score = more positive).
 
     Returns curve points starting at (0, 0), trapezoidal AUC, and the best
-    TPR achieved at FPR <= each target. Raises ValueError on a NaN or
-    infinite score, which has no place in the ranking.
+    TPR achieved at FPR <= each of ``TPR_AT_FPR_TARGETS``. Raises ValueError
+    on a NaN or infinite score, which has no place in the ranking.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
@@ -156,7 +158,7 @@ def roc(scores, labels, targets=TPR_AT_FPR_TARGETS):
     thresholds = np.concatenate([[np.inf], s_sorted[distinct]])
     auc = float(np.trapezoid(tpr, fpr))
     at = {}
-    for target in targets:
+    for target in TPR_AT_FPR_TARGETS:
         ok = fpr <= target
         at[target] = float(tpr[ok].max()) if ok.any() else 0.0
     return RocResult(fpr=fpr, tpr=tpr, thresholds=thresholds, auc=auc,
@@ -175,27 +177,27 @@ def _relation_of(pair):
     return getattr(pair, "relation", "")
 
 
-def make_folds(pairs, seed, n_folds=5):
-    """Split positive pairs into folds, balanced within each relation.
+def make_folds(pairs, seed):
+    """Split positive pairs into ``N_FOLDS`` folds, balanced per relation.
 
     Per relation the (seeded-shuffled) pairs are dealt round-robin across a
     moving fold cursor, so per-relation counts across folds differ by at
     most one. Deterministic given seed.
     """
     pairs = list(pairs)
-    if len(pairs) < n_folds:
-        raise ValueError(f"need at least {n_folds} positive pairs, got {len(pairs)}")
+    if len(pairs) < N_FOLDS:
+        raise ValueError(f"need at least {N_FOLDS} positive pairs, got {len(pairs)}")
     stream = RngStream(seed=seed)
     by_relation = {}
     for idx, pair in enumerate(pairs):
         by_relation.setdefault(_relation_of(pair), []).append(idx)
-    folds = [[] for _ in range(n_folds)]
+    folds = [[] for _ in range(N_FOLDS)]
     cursor = 0
     for rel_idx, relation in enumerate(sorted(by_relation)):
         idxs = by_relation[relation]
         perm = stream.child(rel_idx).permutation(len(idxs))
         for j in perm:
-            folds[cursor % n_folds].append(pairs[idxs[j]])
+            folds[cursor % N_FOLDS].append(pairs[idxs[j]])
             cursor += 1
     return FoldPlan(folds=folds)
 
@@ -219,12 +221,12 @@ def _families(pairs):
     return find
 
 
-def gen_negatives(pairs, seed, max_restarts=200):
+def gen_negatives(pairs, seed):
     """Cross-family negative pairs, one use per image, count == positives.
 
     Images come from the positive pairs themselves. Raises MatchingError
     with diagnostics when the pool cannot support a full matching (too few
-    distinct images, or family structure exhausts all candidates).
+    distinct images, or ``MAX_RESTARTS`` shuffles all fail).
     """
     pairs = list(pairs)
     n_needed = len(pairs)
@@ -240,7 +242,7 @@ def gen_negatives(pairs, seed, max_restarts=200):
             f"{n_needed} single-use negative pairs"
         )
     stream = RngStream(seed=seed)
-    for attempt in range(max_restarts):
+    for attempt in range(MAX_RESTARTS):
         perm = stream.child(attempt).permutation(len(images))
         shuffled = [images[i] for i in perm]
         used = [False] * len(shuffled)
@@ -259,6 +261,6 @@ def gen_negatives(pairs, seed, max_restarts=200):
             return negatives
     families = sorted(set(pool.values()))
     raise MatchingError(
-        f"no valid matching after {max_restarts} attempts: "
+        f"no valid matching after {MAX_RESTARTS} attempts: "
         f"{len(images)} images across {len(families)} families"
     )

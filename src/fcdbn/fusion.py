@@ -21,6 +21,7 @@ from .kvrl import ModelStateError
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = np.log(DENSITY_FLOOR)
 VAR_FLOOR = 1e-6
+SVM_REG, SVM_EPOCHS, SVM_LEARNING_RATE = 1e-3, 2000, 0.1
 
 
 @dataclass
@@ -121,11 +122,9 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-5):
     1e-6. Samples must be finite (ValueError).
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
-    if x.size < 2 * n_components:
-        raise ValueError(
-            f"need at least {2 * n_components} samples for K={n_components}, "
-            f"got {x.size}"
-        )
+    if n_components < 1 or x.size < 2 * n_components:
+        raise ValueError(f"need K >= 1 components and 2K samples, got "
+                         f"K={n_components} and {x.size} samples")
     if not np.isfinite(x).all():
         raise ValueError("mixture samples must be finite")
     stream = RngStream(seed=seed)
@@ -226,13 +225,14 @@ class SvmModel:
             raise ValueError("svm b and margin must be finite")
 
 
-def svm_fit(scores, reg=1e-3, epochs=2000, learning_rate=0.1):
+def svm_fit(scores):
     """Deterministic hinge-loss subgradient training on score vectors.
 
-    Features are z-scored internally, so rescaling every input by a common
-    positive factor reproduces the identical classifier. All-identical
-    feature rows yield a degenerate majority-class model (flagged), not an
-    error; single-class labels raise.
+    Runs SVM_EPOCHS full-batch steps of size SVM_LEARNING_RATE / (1 + 0.01 t)
+    with L2 weight SVM_REG. Features are z-scored internally, so rescaling
+    every input by a common positive factor reproduces the identical
+    classifier. All-identical feature rows yield a degenerate majority-class
+    model (flagged), not an error; single-class labels raise.
     """
     feats = svm_feature_rows(scores.s, scores.k)
     y = np.where(scores.label == 1, 1.0, -1.0)
@@ -249,11 +249,11 @@ def svm_fit(scores, reg=1e-3, epochs=2000, learning_rate=0.1):
     x = (feats - mean) / std
     w = np.zeros(x.shape[1])
     b = 0.0
-    for t in range(1, epochs + 1):
-        lr = learning_rate / (1.0 + 0.01 * t)
+    for t in range(1, SVM_EPOCHS + 1):
+        lr = SVM_LEARNING_RATE / (1.0 + 0.01 * t)
         margins = y * (x @ w + b)
         viol = margins < 1.0
-        gw = reg * w - (y[viol, None] * x[viol]).sum(axis=0) / y.size
+        gw = SVM_REG * w - (y[viol, None] * x[viol]).sum(axis=0) / y.size
         gb = -(y[viol]).sum() / y.size
         w -= lr * gw
         b -= lr * gb
@@ -306,18 +306,17 @@ def boost_decision(models, method, threshold, s, k):
 
 
 def synth_scores(seed, n_genuine, n_impostor, face_shift=1.5, kin_shift=1.5,
-                 n_kin=1, informative=True):
+                 n_kin=1):
     """Synthetic ScoreSet with controllable class separation.
 
     Genuine trials (the first n_genuine rows) draw the face score from
-    N(face_shift, 1) and, when informative, kin scores from N(kin_shift, 1);
-    impostor trials draw both from N(0, 1). With informative=False kin
-    scores are N(0, 1) everywhere.
+    N(face_shift, 1) and their n_kin kin scores from N(kin_shift, 1);
+    impostor trials draw both from N(0, 1).
     """
     stream = RngStream(seed=seed)
     s, k, label = [], [], []
     for lab, count in ((1, n_genuine), (0, n_impostor)):
-        k_shift = kin_shift if (lab == 1 and informative) else 0.0
+        k_shift = kin_shift if lab == 1 else 0.0
         s.append(stream.gaussian(count, mu=face_shift if lab == 1 else 0.0))
         k.append(stream.gaussian(count * n_kin, mu=k_shift).reshape(count, n_kin)
                  if n_kin else np.zeros((count, 0)))

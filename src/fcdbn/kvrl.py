@@ -1,6 +1,6 @@
 """Two-stage hierarchical kin representation and pair scoring.
 
-From one aligned 64x64 face we cut three 32x32 crops: the whole face, the
+From one aligned face we cut three 32x32 crops: the whole face, the
 eye+nose band (T), and the face with that band blanked out (not-T). Each
 crop gets its own pretrained stack; their codes are concatenated and fused
 by a second-stage stack, and a small classifier scores pairs of fused codes
@@ -41,6 +41,7 @@ class ModelStateError(RuntimeError):
     """Raised when a model is used before the needed parts are trained."""
 
 
+FACE_SIZE = 64  # side of every aligned face, in pixels
 DEFAULT_REGIONS = ("face", "t_region", "not_t")
 EXTRA_REGIONS = ("binocular", "chin")
 _STD_FLOOR = 1e-8
@@ -173,7 +174,7 @@ def _crop_table(fractions, extras):
     ``rows`` x ``cols`` window is cut. The T crop keeps only mask pixels
     inside the mask's bounding box; not-T blanks the mask.
     """
-    mask = t_mask((64, 64), fractions)
+    mask = t_mask((FACE_SIZE, FACE_SIZE), fractions)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     whole = slice(None)
@@ -184,16 +185,16 @@ def _crop_table(fractions, extras):
     extra_rows = {"binocular": fractions.eye_rows, "chin": fractions.chin_rows}
     for name in extras:
         if name in extra_rows:
-            table[name] = (None, slice(*_span(extra_rows[name], 64)), whole)
+            table[name] = (None, slice(*_span(extra_rows[name], FACE_SIZE)), whole)
         elif name not in table:
             raise ValueError(f"unknown extra region {name!r}")
     return table
 
 
 def cut_regions(images, fractions=None, size=32, extras=()):
-    """Yield one RegionSet per aligned 64x64 image, in input order.
+    """Yield one RegionSet per aligned face, in input order.
 
-    ``images`` is a sequence of 64x64 grayscale crops or an (N, 64, 64)
+    ``images`` is a sequence of aligned faces or one (N, FACE_SIZE, FACE_SIZE)
     array. Every crop is resized to size x size and standardized. The three
     default crops are always cut; ``extras`` may name "binocular" and/or
     "chin" to fill RegionSet.extras (default names in it are ignored, so a
@@ -205,9 +206,9 @@ def cut_regions(images, fractions=None, size=32, extras=()):
     extra_names = list(table)[len(DEFAULT_REGIONS):]
     for start in range(0, len(images), _BLOCK):
         block = np.asarray(images[start:start + _BLOCK], dtype=np.float64)
-        if block.shape[1:] != (64, 64):
-            raise ValueError(
-                f"expected 64x64 aligned crops, got {block.shape[1:]}")
+        if block.shape[1:] != (FACE_SIZE, FACE_SIZE):
+            raise ValueError(f"expected {FACE_SIZE}x{FACE_SIZE} aligned crops, "
+                             f"got {block.shape[1:]}")
         mean = block.reshape(len(block), -1).mean(axis=1)[:, None, None]
         crops = {}
         for name, (fill, rows, cols) in table.items():
@@ -223,7 +224,7 @@ def cut_regions(images, fractions=None, size=32, extras=()):
 
 
 def extract_regions(aligned_face, fractions=None, size=32, extras=()):
-    """The RegionSet of one aligned 64x64 face (``cut_regions`` of one)."""
+    """The RegionSet of one aligned face (``cut_regions`` of one)."""
     return next(cut_regions([aligned_face], fractions, size, extras))
 
 
@@ -276,7 +277,7 @@ def encode_face(model, regions):
 
 
 def encode_images(model, images):
-    """Codes for aligned 64x64 faces, one row per image: shape (N, d).
+    """Codes for aligned faces, one row per image: shape (N, d).
 
     Regions are cut with the model's own fractions, size and extras. This
     is where each distinct image (same dtype, shape and bytes) is encoded
@@ -334,7 +335,7 @@ def kin_score(model, a, b):
 def pretrain_stages(pretrain_corpus, cfg):
     """Unsupervised two-stage pretraining; returns a classifier-less model.
 
-    ``pretrain_corpus``: list of aligned 64x64 grayscale images. Stage 1
+    ``pretrain_corpus``: list of aligned grayscale faces. Stage 1
     trains one stack per configured region; stage 2 fuses the concatenated
     stage-1 codes with a contractive (unfiltered) stack.
     """
@@ -372,7 +373,7 @@ def pretrain_stages(pretrain_corpus, cfg):
 def train_kvrl(pretrain_corpus, kin_pairs, cfg):
     """Unsupervised two-stage pretraining, then supervised pair training.
 
-    ``pretrain_corpus``: list of aligned 64x64 grayscale images (assumed
+    ``pretrain_corpus``: list of aligned grayscale faces (assumed
     subject-disjoint from the labeled pairs). ``kin_pairs``: list of
     (image_a, image_b, label) with label 1 = kin. ``cfg`` is a RunConfig.
     The classifier sees each labeled pair in both orders. Deterministic

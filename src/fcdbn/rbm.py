@@ -174,8 +174,8 @@ def init_layer(n_visible, n_hidden, stream, unit_kind=BERNOULLI, n_filters=0,
 
 
 def _check_sigma(layer):
-    if layer.sigma is None or np.any(layer.sigma <= 0):
-        raise ValueError("gaussian units need sigma > 0")
+    if layer.sigma is None or not np.all(layer.sigma >= SIGMA_MIN):
+        raise ValueError(f"gaussian units need sigma >= {SIGMA_MIN}")
 
 
 def _as_batch(v, width, what):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import scalar_fits
 from .fusion import PlrModels, SvmModel
-from .kvrl import KvrlModel
+from .kvrl import FACE_SIZE, KvrlModel
 
 MODEL_FORMAT = "fcdbn-model"
 MODEL_VERSION = 2
@@ -91,8 +91,8 @@ def _next_token(data, pos):
     return data[start:pos], pos
 
 
-def load_pgm(path, size=64):
-    """Read a binary 8-bit PGM into a [0, 1] float image of size x size."""
+def load_pgm(path):
+    """Read a binary 8-bit FACE_SIZE x FACE_SIZE PGM into a [0, 1] float image."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic, pos = _next_token(data, 0)
@@ -111,8 +111,8 @@ def load_pgm(path, size=64):
     width, height, maxval = fields
     if maxval != 255:
         raise PgmParseError(f"only 8-bit PGM supported, maxval={maxval}")
-    if (width, height) != (size, size):
-        raise PgmParseError(f"expected {size}x{size} image, got {width}x{height}")
+    if (width, height) != (FACE_SIZE, FACE_SIZE):
+        raise PgmParseError(f"expected {FACE_SIZE}x{FACE_SIZE}, got {width}x{height}")
     pos += 1  # single whitespace after maxval
     expected = width * height
     payload = data[pos:pos + expected]
@@ -130,8 +130,8 @@ def save_pgm(path, image):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("save_pgm expects a 2-D image")
-    if img.min() < 0.0 or img.max() > 1.0:
-        raise ValueError("image values must lie in [0, 1]")
+    if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
+        raise ValueError("image values must be finite and lie in [0, 1]")
     h, w = img.shape
     body = np.round(img * 255.0).astype(np.uint8).tobytes()
     atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + body)

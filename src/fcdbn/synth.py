@@ -5,17 +5,19 @@ images; each member mixes that latent with individual noise, weighted by the
 separability knob (1.0 = members identical, 0.0 = no family signal). The
 bases are spatially localized oriented bumps on a 4x4 grid, so family traits
 live in specific face areas the way real kin resemblance does. Images render
-to 64x64 in [0, 1], so they round-trip through 8-bit PGM files.
+as aligned faces in [0, 1], so they round-trip through 8-bit PGM files.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import RngStream
+from .kvrl import FACE_SIZE
 from .storage import RELATIONS, KinPair
 
 N_BASES = 16
-IMAGE_SIZE = 64
+TRAIN_FAMILY_FRAC = 0.6
+PIXEL_NOISE = 0.08
 _RENDER_SCALE = 5.0
 _BUMP_SIGMA = 7.0
 _COARSE_WAVELENGTH = 12.0
@@ -27,10 +29,10 @@ _FINE_WAVELENGTH = 5.0
 _FINE_CELLS = {(1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}
 
 
-def basis_images(size=IMAGE_SIZE):
-    """16 Gaussian-windowed oriented cosine bumps tiling the image 4x4."""
-    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    cell = size // 4
+def basis_images():
+    """16 Gaussian-windowed oriented cosine bumps tiling a face 4x4."""
+    rr, cc = np.indices((FACE_SIZE, FACE_SIZE))
+    cell = FACE_SIZE // 4
     bases = []
     idx = 0
     for i in range(4):
@@ -59,7 +61,7 @@ def _render(weights, bases):
 def synth_kin(seed, families, members_per_family, separability):
     """Generate a family-structured corpus plus its pair manifest.
 
-    Returns (images, pairs): ``images`` maps subject id -> 64x64 array in
+    Returns (images, pairs): ``images`` maps subject id -> face array in
     [0, 1]; ``pairs`` holds disjoint within-family kin rows (each image
     appears in at most one kin row, so the single-use negative-pair rule
     stays satisfiable) plus an equal number of cross-family nonkin rows.
@@ -115,17 +117,16 @@ def synth_kin(seed, families, members_per_family, separability):
 
 
 def make_kin_benchmark(seed, n_families, members_per_family, separability,
-                       n_test_pairs, train_family_frac=0.6,
-                       corpus_families=None, pixel_noise=0.08):
+                       n_test_pairs, corpus_families=None):
     """Family-disjoint corpus / train pairs / test pairs for AUC runs.
 
     The pretraining corpus comes from its own families. Train and test
     labeled pairs use all within-family member combinations as positives
     plus an equal number of cross-family negatives, from disjoint family
-    blocks. Test pairs are truncated or padded toward ``n_test_pairs``.
-    Pair entries are (image_a, image_b, label) with images as arrays.
+    blocks (``TRAIN_FAMILY_FRAC`` of the families train). Test pairs are cut
+    or padded toward ``n_test_pairs``. Entries are (array_a, array_b, label).
 
-    ``pixel_noise`` adds i.i.d. sensor noise ontop of every rendered image
+    Every rendered image gets i.i.d. N(0, ``PIXEL_NOISE``) sensor noise
     (clipped back to [0, 1]): family resemblance stays basis-structured
     while acquisition noise is white, the regime a robust representation
     is supposed to survive.
@@ -136,7 +137,7 @@ def make_kin_benchmark(seed, n_families, members_per_family, separability,
         noise_stream = RngStream(seed=seed + 3).child(child_index)
         out = {}
         for subject, img in images.items():
-            noise = noise_stream.gaussian(img.size, sigma=pixel_noise)
+            noise = noise_stream.gaussian(img.size, sigma=PIXEL_NOISE)
             out[subject] = np.clip(img + noise.reshape(img.shape), 0.0, 1.0)
         return out
 
@@ -151,7 +152,7 @@ def make_kin_benchmark(seed, n_families, members_per_family, separability,
         fam = subject.split("_")[0]
         by_family.setdefault(fam, []).append(img)
     fams = sorted(by_family)
-    n_train = max(1, int(round(train_family_frac * len(fams))))
+    n_train = max(1, int(round(TRAIN_FAMILY_FRAC * len(fams))))
     train_fams, test_fams = fams[:n_train], fams[n_train:]
 
     stream = RngStream(seed=seed + 2)

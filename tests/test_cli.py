@@ -250,6 +250,20 @@ class TestEndToEnd:
         assert len(rows) == 2
         assert len(rows[1].split(",")) == 8
 
+    def test_filter_wider_than_region_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        common = dict(output_dir=str(out), manifest=str(out / "manifest.csv"),
+                      images_dir=str(out / "images"),
+                      corpus_dir=str(out / "corpus"), region_size=8,
+                      stage1_dims=[64, 12, 8], filter_size=9)
+        plain = write_config(tmp_path / "plain.json", n_filters=0, **common)
+        filtered = write_config(tmp_path / "filtered.json", n_filters=1, **common)
+        assert run_command(["synth", "--config", str(plain)]) == 0
+        assert run_command(["train-kin", "--config", str(filtered)]) == 2
+        assert not (out / "model.json").exists()
+        assert run_command(["train-kin", "--config", str(plain)]) == 0
+        assert load_model(out / "model.json").region_size == 8
+
     def test_extra_regions_train_eval_encode(self, tmp_path):
         out = tmp_path / "run"
         cfg_path = write_config(

@@ -71,6 +71,11 @@ class TestFitGmm:
         with pytest.raises(ValueError):
             fit_gmm(np.array([1.0, 2.0, 3.0]), 2, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_component_rejected(self, k):
+        with pytest.raises(ValueError, match=f"K={k}"):
+            fit_gmm(np.arange(10.0), k, seed=0)
+
     def test_deterministic_given_seed(self):
         samples = RngStream(seed=6).gaussian(200)
         m1 = fit_gmm(samples, 2, seed=7)

@@ -10,6 +10,7 @@ from fcdbn.rbm import (
     FILTER_GRAD_CLIP,
     FILTER_RATE_DAMPING,
     GAUSSIAN,
+    SIGMA_MIN,
     DivergenceError,
     RbmLayer,
     TrainConfig,
@@ -272,6 +273,22 @@ class TestConditionals:
                          sigma=np.array([1.0, 2.0, 0.5]))
         mean = visible_given_hidden(np.zeros(2), layer)
         assert np.array_equal(mean, layer.b)
+
+    def test_gaussian_sigma_below_floor_rejected(self):
+        # the floor RbmLayer.validate and load_model apply: sigma >= SIGMA_MIN
+        layer = RbmLayer(W=np.zeros((3, 2)), a=np.zeros(2), b=np.zeros(3),
+                         unit_kind=GAUSSIAN, sigma=np.full(3, 0.99 * SIGMA_MIN))
+        with pytest.raises(ValueError, match="sigma"):
+            hidden_given_visible(np.zeros(3), layer)
+        with pytest.raises(ValueError, match="sigma"):
+            visible_given_hidden(np.zeros(2), layer)
+        with pytest.raises(ValueError, match="sigma"):
+            energy_gaussian(np.zeros(3), np.zeros(2), layer)
+        with pytest.raises(ValueError, match="sigma"):
+            layer.validate()
+        layer.sigma[:] = SIGMA_MIN
+        assert np.array_equal(hidden_given_visible(np.zeros(3), layer),
+                              np.full(2, 0.5))
 
     def test_shape_error(self):
         layer = random_layer(RngStream(seed=22), 4, 3)

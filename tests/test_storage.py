@@ -122,6 +122,14 @@ class TestPgm:
         with pytest.raises(ValueError):
             save_pgm(tmp_path / "bad.pgm", np.full((4, 4), 1.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_pixels(self, tmp_path, bad):
+        img = np.full((4, 4), 0.5)
+        img[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            save_pgm(tmp_path / "bad.pgm", img)
+        assert list(tmp_path.iterdir()) == []
+
 
 def tiny_config(seed=0):
     return RunConfig(
