@@ -1,13 +1,19 @@
-"""Run configuration: one validated record drives training, eval, and CLI."""
+"""Run configuration: one validated record drives training, eval, and CLI.
+
+Each rule on one setting lives with the code that uses it; ``RunConfig.validate``
+runs those checks before any work and adds the rules of the whole pipeline."""
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 
-from .kvrl import DEFAULT_REGIONS, RegionFractions, check_regions
-from .rbm import TrainConfig
+from .core import check_kernel, scalar_fits
+from .deepnet import check_dropout
+from .fusion import check_mixture_size
+from .kvrl import DEFAULT_REGIONS, REGION_SIZE, RegionFractions, check_regions
+from .rbm import TrainConfig, check_regularizers
+from .synth import check_corpus_settings
 
 
 class ConfigError(ValueError):
@@ -19,11 +25,11 @@ class RunConfig:
     seed: int = 0
 
     # contrastive-divergence training of stack layers
-    learning_rate: float = 0.05
+    learning_rate: float = TrainConfig.learning_rate
     epochs: int = 30
-    batch_size: int = 64
-    cd_steps: int = 1
-    momentum: float = 0.5
+    batch_size: int = TrainConfig.batch_size
+    cd_steps: int = TrainConfig.cd_steps
+    momentum: float = TrainConfig.momentum
 
     # architecture
     stage1_dims: tuple = (1024, 512, 512)
@@ -44,7 +50,7 @@ class RunConfig:
 
     # regions
     regions: tuple = DEFAULT_REGIONS
-    region_size: int = 32
+    region_size: int = REGION_SIZE
     eye_rows: tuple = RegionFractions.eye_rows
     nose_rows: tuple = RegionFractions.nose_rows
     nose_cols: tuple = RegionFractions.nose_cols
@@ -76,63 +82,51 @@ class RunConfig:
     image: str = ""
 
     def validate(self):
-        for name in ("learning_rate", "classifier_learning_rate", "alpha", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0 or self.classifier_learning_rate <= 0:
-            raise ConfigError("learning rates must be > 0")
-        if self.epochs < 1 or self.batch_size < 1 or self.cd_steps < 1:
-            raise ConfigError("epochs, batch_size, cd_steps must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for r in (self.dropout_input, self.dropout_hidden):
-            if not 0.0 <= r < 1.0:
-                raise ConfigError(f"dropout rates must be in [0, 1), got {r}")
-        if self.classifier_epochs < 0:
-            raise ConfigError("classifier_epochs must be >= 0")
-        if len(self.stage1_dims) < 2 or len(self.stage2_dims) < 2:
-            raise ConfigError("stacks need at least two node counts")
-        if any(d < 1 for d in (*self.stage1_dims, *self.stage2_dims,
-                               *self.classifier_hidden)):
-            raise ConfigError("layer widths must be positive")
+        """Raise ConfigError unless every value is usable (see the module doc)."""
         try:
-            check_regions(self.regions, self.region_fractions(),
-                          self.region_size,
+            for f in fields(self):
+                value = getattr(self, f.name)
+                if isinstance(f.default, float) and not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+            if self.learning_rate <= 0 or self.classifier_learning_rate <= 0:
+                raise ValueError("learning rates must be > 0")
+            if self.epochs < 1:
+                raise ValueError("epochs must be >= 1")
+            self.rbm_config().validate()
+            self.mlp_config().validate()
+            check_dropout(self.dropout_input, self.dropout_hidden)
+            if len(self.stage1_dims) < 2 or len(self.stage2_dims) < 2:
+                raise ValueError("stacks need at least two node counts")
+            if any(d < 1 for d in (*self.stage1_dims, *self.stage2_dims,
+                                   *self.classifier_hidden)):
+                raise ValueError("layer widths must be positive")
+            check_regions(self.regions, self.region_fractions(), self.region_size,
                           {name: self.stage1_dims[0] for name in self.regions})
+            if self.n_filters < 0:
+                raise ValueError("n_filters must be >= 0")
+            # a valid kernel side even when unused; it must fit the crop once used
+            check_kernel((self.filter_size,) * 2,
+                         (self.region_size,) * 2 if self.n_filters else None)
+            check_regularizers(self.alpha, self.beta)
+            # stage 2 reads the stage-1 codes of every region side by side
+            width = len(self.regions) * self.stage1_dims[-1]
+            if self.stage2_dims[0] != width:
+                raise ValueError(f"stage2_dims[0]={self.stage2_dims[0]} must equal "
+                                 f"len(regions) * stage1_dims[-1]={width}")
+            if self.fusion_method not in ("plr", "svm", "both"):
+                raise ValueError(f"unknown fusion method {self.fusion_method!r}")
+            # fuse fits each score class with a gmm_components-mixture
+            check_mixture_size(self.gmm_components,
+                               min(self.n_genuine, self.n_impostor))
+            if self.n_kin < (0 if self.fusion_method == "svm" else 1):
+                raise ValueError("n_kin must be >= 0, and >= 1 for plr fusion")
+            for n in (self.families, self.corpus_families):  # pair pool, corpus
+                check_corpus_settings(n, self.members_per_family, self.separability)
+            # RngStream keeps 64 seed bits; 2**63 leaves room for derived seeds
+            if not 0 <= self.seed < 2 ** 63:
+                raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.n_filters < 0 or self.filter_size < 1 or self.filter_size % 2 == 0:
-            raise ConfigError("n_filters must be >= 0 and filter_size odd")
-        if self.n_filters and self.filter_size > self.region_size:
-            raise ConfigError("filter_size must be <= region_size when n_filters >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be >= 0")
-        # stage 2 reads the stage-1 codes of every region side by side
-        width = len(self.regions) * self.stage1_dims[-1]
-        if self.stage2_dims[0] != width:
-            raise ConfigError(
-                f"stage2_dims[0]={self.stage2_dims[0]} must equal "
-                f"len(regions) * stage1_dims[-1]={width}"
-            )
-        if self.fusion_method not in ("plr", "svm", "both"):
-            raise ConfigError(f"unknown fusion method {self.fusion_method!r}")
-        if self.gmm_components < 1:
-            raise ConfigError("gmm_components must be >= 1")
-        # fuse fits each score class with a gmm_components-mixture
-        if min(self.n_genuine, self.n_impostor) < 2 * self.gmm_components:
-            raise ConfigError(f"n_genuine and n_impostor must be >= "
-                              f"2 * gmm_components = {2 * self.gmm_components}")
-        if self.n_kin == 0 and self.fusion_method in ("plr", "both"):
-            raise ConfigError("plr fusion needs n_kin >= 1")
-        if not 0.0 <= self.separability <= 1.0:
-            raise ConfigError("separability must be in [0, 1]")
-        if self.families < 1 or self.members_per_family < 1 or self.corpus_families < 1:
-            raise ConfigError("synthetic counts must be >= 1")
-        if self.n_kin < 0:
-            raise ConfigError("n_kin must be >= 0")
-        # RngStream keeps 64 seed bits; 2**63 leaves room for derived seeds
-        if not 0 <= self.seed < 2 ** 63:
-            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
     def region_fractions(self):
         return RegionFractions(**{f.name: tuple(getattr(self, f.name))
@@ -167,16 +161,6 @@ def _check_type(key, value, default):
         raise ConfigError(f"{key} must hold {kind.__name__} values, got {value!r}")
 
 
-def scalar_fits(kind, value):
-    """Whether a JSON scalar fits type ``kind``: bool is never a number, and
-    a float field also takes an int in float range."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return abs(value) <= sys.float_info.max
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, kind)
-
-
 def config_from_dict(data):
     defaults = {f.name: f.default for f in fields(RunConfig)}
     unknown = set(data) - set(defaults)
@@ -195,10 +179,9 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    # missing, a directory, not UTF-8, not JSON, or nested too deeply to parse
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)

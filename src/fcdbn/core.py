@@ -1,11 +1,12 @@
 """Deterministic numeric primitives shared by every other module.
 
-Everything here is pure: dense float64 arrays in, dense float64 arrays out.
-The random stream is counter-based so that a (seed, counter) pair fully
-determines the draw sequence on any platform.
+Everything here is pure: dense float64 arrays in and out, plus the JSON
+scalar type check. The random stream is counter-based so that a (seed,
+counter) pair fully determines the draw sequence on any platform.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +27,31 @@ def sigmoid(x):
     return np.minimum(out, _SIGMOID_CEIL)
 
 
+def scalar_fits(kind, value):
+    """Whether a JSON scalar fits type ``kind``: bool is never a number, and
+    a float field also takes an int in float range."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def _as_stack(image, kernel_shape):
     """View an (h, w) image or an (N, h, w) stack as (N, h, w); check the kernel."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim not in (2, 3) or len(kernel_shape) != 2:
-        raise ValueError("conv2d_same expects 2-D kernels and 2-D images or "
-                         "(N, h, w) image stacks")
-    kr, kc = kernel_shape
-    if kr % 2 == 0 or kc % 2 == 0:
-        raise ValueError(f"kernel dims must be odd, got {kr}x{kc}")
-    h, w = image.shape[-2:]
-    if kr > h or kc > w:
-        raise ValueError(f"kernel {kr}x{kc} larger than image {h}x{w}")
-    return image.reshape(-1, h, w), image.ndim == 3
+    if image.ndim not in (2, 3):
+        raise ValueError("conv2d_same expects 2-D images or (N, h, w) image stacks")
+    check_kernel(kernel_shape, within=image.shape[-2:])
+    return image.reshape(-1, *image.shape[-2:]), image.ndim == 3
+
+
+def check_kernel(shape, within=None):
+    """Raise ValueError unless a 2-D kernel has odd sides >= 1 that fit ``within``."""
+    if len(shape) != 2 or min(shape) < 1 or shape[0] % 2 == 0 or shape[1] % 2 == 0:
+        raise ValueError(f"kernel {shape} is not 2-D with odd sides >= 1")
+    if within is not None and (shape[0] > within[0] or shape[1] > within[1]):
+        raise ValueError(f"kernel {shape} larger than image {within}")
 
 
 def _pad_stack(stack, cp, cq):

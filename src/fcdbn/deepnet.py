@@ -132,9 +132,7 @@ class MlpModel:
     dropout_hidden: float = 0.0
 
     def validate(self):
-        for r in (self.dropout_input, self.dropout_hidden):
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"dropout rate must be in [0, 1), got {r}")
+        check_dropout(self.dropout_input, self.dropout_hidden)
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError("classifier needs one bias per weight matrix")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -144,6 +142,12 @@ class MlpModel:
                 raise ValueError(f"classifier layer {i} width mismatch")
         if self.weights[-1].shape[1] != 1:
             raise ValueError("final layer must have one output unit")
+
+
+def check_dropout(*rates):
+    """Raise ValueError unless every dropout rate is in [0, 1)."""
+    if not all(0.0 <= r < 1.0 for r in rates):
+        raise ValueError(f"dropout rates must be in [0, 1), got {rates}")
 
 
 def mlp_init(arch, stream, dropout_input=0.0, dropout_hidden=0.0):

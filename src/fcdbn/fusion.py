@@ -112,6 +112,12 @@ def gmm_pdf(model, x):
     return np.exp(gmm_logpdf(model, x))
 
 
+def check_mixture_size(k, n):
+    """Raise ValueError unless a K-mixture can be fit to n samples: K >= 1, n >= 2K."""
+    if k < 1 or n < 2 * k:
+        raise ValueError(f"need K >= 1 and 2K samples, got K={k} and {n} samples")
+
+
 def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-5):
     """EM fit of a 1-D Gaussian mixture; deterministic given seed.
 
@@ -122,9 +128,7 @@ def fit_gmm(samples, n_components, seed, max_iter=500, tol=1e-5):
     1e-6. Samples must be finite (ValueError).
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
-    if n_components < 1 or x.size < 2 * n_components:
-        raise ValueError(f"need K >= 1 components and 2K samples, got "
-                         f"K={n_components} and {x.size} samples")
+    check_mixture_size(n_components, x.size)
     if not np.isfinite(x).all():
         raise ValueError("mixture samples must be finite")
     stream = RngStream(seed=seed)

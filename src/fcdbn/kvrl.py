@@ -42,6 +42,7 @@ class ModelStateError(RuntimeError):
 
 
 FACE_SIZE = 64  # side of every aligned face, in pixels
+REGION_SIZE = 32  # default side of every crop, in pixels
 DEFAULT_REGIONS = ("face", "t_region", "not_t")
 EXTRA_REGIONS = ("binocular", "chin")
 _STD_FLOOR = 1e-8
@@ -191,7 +192,7 @@ def _crop_table(fractions, extras):
     return table
 
 
-def cut_regions(images, fractions=None, size=32, extras=()):
+def cut_regions(images, fractions=None, size=REGION_SIZE, extras=()):
     """Yield one RegionSet per aligned face, in input order.
 
     ``images`` is a sequence of aligned faces or one (N, FACE_SIZE, FACE_SIZE)
@@ -223,7 +224,7 @@ def cut_regions(images, fractions=None, size=32, extras=()):
                                     for name in extra_names})
 
 
-def extract_regions(aligned_face, fractions=None, size=32, extras=()):
+def extract_regions(aligned_face, fractions=None, size=REGION_SIZE, extras=()):
     """The RegionSet of one aligned face (``cut_regions`` of one)."""
     return next(cut_regions([aligned_face], fractions, size, extras))
 
@@ -237,7 +238,7 @@ class KvrlModel:
     classifier: MlpModel | None = None
     regions: tuple[str, ...] = DEFAULT_REGIONS
     fractions: RegionFractions = field(default_factory=RegionFractions)
-    region_size: int = 32
+    region_size: int = REGION_SIZE
 
     def validate(self):
         missing = [name for name in self.regions if name not in self.stage1]

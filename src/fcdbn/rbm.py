@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     RngStream,
+    check_kernel,
     conv2d_same,
     conv2d_same_kernel_grad,
     sigmoid,
@@ -130,22 +131,21 @@ class RbmLayer:
         if self.filters:
             if shape is None:
                 raise ValueError("filtered layers need image_shape")
-            fshape = self.filters[0].shape
-            if any(f.shape != fshape for f in self.filters):
+            if any(f.shape != self.filters[0].shape for f in self.filters):
                 raise ValueError("filters must share one shape")
-            if (len(fshape) != 2 or any(n % 2 == 0 for n in fshape)
-                    or fshape[0] > shape[0] or fshape[1] > shape[1]):
-                raise ValueError(f"filters must be 2-D with odd sides that fit "
-                                 f"the image {tuple(shape)}, got {fshape}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            check_kernel(self.filters[0].shape, shape)
+        check_regularizers(self.alpha, self.beta)
 
     def copy(self):
         return replace(self, W=self.W.copy(), a=self.a.copy(), b=self.b.copy(),
                        sigma=None if self.sigma is None else self.sigma.copy(),
                        filters=[f.copy() for f in self.filters])
+
+
+def check_regularizers(alpha, beta):
+    """Raise ValueError unless alpha and beta are finite and >= 0."""
+    if not all(math.isfinite(v) and v >= 0 for v in (alpha, beta)):
+        raise ValueError(f"alpha, beta must be finite and >= 0, got {alpha}, {beta}")
 
 
 def init_layer(n_visible, n_hidden, stream, unit_kind=BERNOULLI, n_filters=0,

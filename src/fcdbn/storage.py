@@ -26,7 +26,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .config import scalar_fits
+from .core import scalar_fits
 from .fusion import PlrModels, SvmModel
 from .kvrl import FACE_SIZE, KvrlModel
 
@@ -128,8 +128,8 @@ def load_pgm(path):
 def save_pgm(path, image):
     """Quantize a [0, 1] image to 8 bits and write binary PGM."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("save_pgm expects a 2-D image")
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError(f"save_pgm expects a non-empty 2-D image, got {img.shape}")
     if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
         raise ValueError("image values must be finite and lie in [0, 1]")
     h, w = img.shape

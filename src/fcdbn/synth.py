@@ -58,6 +58,14 @@ def _render(weights, bases):
     return np.clip(0.5 + raw / _RENDER_SCALE, 0.0, 1.0)
 
 
+def check_corpus_settings(families, members_per_family, separability):
+    """Raise ValueError unless ``synth_kin`` can draw with these settings."""
+    if families < 1 or members_per_family < 1:
+        raise ValueError("families and members_per_family must be >= 1")
+    if not 0.0 <= separability <= 1.0:
+        raise ValueError(f"separability must be in [0, 1], got {separability}")
+
+
 def synth_kin(seed, families, members_per_family, separability):
     """Generate a family-structured corpus plus its pair manifest.
 
@@ -67,10 +75,7 @@ def synth_kin(seed, families, members_per_family, separability):
     stays satisfiable) plus an equal number of cross-family nonkin rows.
     Fully deterministic in the seed.
     """
-    if families < 1 or members_per_family < 1:
-        raise ValueError("families and members_per_family must be >= 1")
-    if not 0.0 <= separability <= 1.0:
-        raise ValueError(f"separability must be in [0, 1], got {separability}")
+    check_corpus_settings(families, members_per_family, separability)
     bases = basis_images()
     stream = RngStream(seed=seed)
     images = {}

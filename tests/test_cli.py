@@ -84,7 +84,9 @@ class TestCliBasics:
                            ("classifier_hidden", [-3]),
                            ("classifier_hidden", [0]), ("seed", 2 ** 70),
                            ("seed", -1), ("stage2_dims", [20, 12, 8]),
-                           ("regions", ["face"])]:
+                           ("regions", ["face"]), ("classifier_batch_size", 0),
+                           ("classifier_batch_size", -3), ("face_shift", nan),
+                           ("kin_shift", inf)]:
             cfg = write_config(tmp_path / "c.json", **{key: value},
                                output_dir=str(tmp_path / "out"))
             assert run_command(["synth", "--config", str(cfg)]) == 2, (key, value)
@@ -109,6 +111,18 @@ class TestCliBasics:
         except ConfigError:
             return
         assert isinstance(cfg, RunConfig)
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+        lambda path: path.write_text("[" * 100000 + "]" * 100000),
+    ], ids=["directory", "not-utf8", "too-deeply-nested"])
+    def test_unreadable_config_exits_2(self, tmp_path, monkeypatch, make, capsys):
+        make(tmp_path / "c.json")
+        monkeypatch.chdir(tmp_path)  # the default output_dir "out" is relative
+        assert run_command(["synth", "--config", str(tmp_path / "c.json")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"

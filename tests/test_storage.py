@@ -130,6 +130,12 @@ class TestPgm:
             save_pgm(tmp_path / "bad.pgm", img)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_save_rejects_zero_size_image(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=rf"non-empty 2-D image, got \({shape[0]}, "):
+            save_pgm(tmp_path / "empty.pgm", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
 
 def tiny_config(seed=0):
     return RunConfig(
