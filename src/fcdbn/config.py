@@ -1,7 +1,8 @@
 """Run configuration: one validated record drives training, eval, and CLI.
 
 Each rule on one setting lives with the code that uses it; ``RunConfig.validate``
-runs those checks before any work and adds the rules of the whole pipeline."""
+runs those checks before any work, prefixing their errors with the config keys
+they read, and adds the rules of the whole pipeline."""
 from __future__ import annotations
 
 import json
@@ -92,22 +93,29 @@ class RunConfig:
                 raise ValueError("learning rates must be > 0")
             if self.epochs < 1:
                 raise ValueError("epochs must be >= 1")
-            self.rbm_config().validate()
-            self.mlp_config().validate()
-            check_dropout(self.dropout_input, self.dropout_hidden)
+            self._relay(("learning_rate", "epochs", "batch_size", "cd_steps",
+                         "momentum"), self.rbm_config().validate)
+            self._relay(("classifier_learning_rate", "classifier_epochs",
+                         "classifier_batch_size", "momentum"),
+                        self.mlp_config().validate)
+            self._relay(("dropout_input", "dropout_hidden"), check_dropout,
+                        self.dropout_input, self.dropout_hidden)
             if len(self.stage1_dims) < 2 or len(self.stage2_dims) < 2:
                 raise ValueError("stacks need at least two node counts")
             if any(d < 1 for d in (*self.stage1_dims, *self.stage2_dims,
                                    *self.classifier_hidden)):
                 raise ValueError("layer widths must be positive")
-            check_regions(self.regions, self.region_fractions(), self.region_size,
-                          {name: self.stage1_dims[0] for name in self.regions})
+            self._relay(("regions", "region_size", "eye_rows", "nose_rows",
+                         "nose_cols", "chin_rows", "stage1_dims"), check_regions,
+                        self.regions, self.region_fractions(), self.region_size,
+                        {name: self.stage1_dims[0] for name in self.regions})
             if self.n_filters < 0:
                 raise ValueError("n_filters must be >= 0")
             # a valid kernel side even when unused; it must fit the crop once used
-            check_kernel((self.filter_size,) * 2,
-                         (self.region_size,) * 2 if self.n_filters else None)
-            check_regularizers(self.alpha, self.beta)
+            self._relay(("filter_size", "region_size", "n_filters"), check_kernel,
+                        (self.filter_size,) * 2,
+                        (self.region_size,) * 2 if self.n_filters else None)
+            self._relay(("alpha", "beta"), check_regularizers, self.alpha, self.beta)
             # stage 2 reads the stage-1 codes of every region side by side
             width = len(self.regions) * self.stage1_dims[-1]
             if self.stage2_dims[0] != width:
@@ -116,17 +124,30 @@ class RunConfig:
             if self.fusion_method not in ("plr", "svm", "both"):
                 raise ValueError(f"unknown fusion method {self.fusion_method!r}")
             # fuse fits each score class with a gmm_components-mixture
-            check_mixture_size(self.gmm_components,
-                               min(self.n_genuine, self.n_impostor))
+            self._relay(("gmm_components", "n_genuine", "n_impostor"),
+                        check_mixture_size, self.gmm_components,
+                        min(self.n_genuine, self.n_impostor))
             if self.n_kin < (0 if self.fusion_method == "svm" else 1):
                 raise ValueError("n_kin must be >= 0, and >= 1 for plr fusion")
-            for n in (self.families, self.corpus_families):  # pair pool, corpus
-                check_corpus_settings(n, self.members_per_family, self.separability)
+            for key in ("families", "corpus_families"):  # pair pool, corpus
+                self._relay((key, "members_per_family", "separability"),
+                            check_corpus_settings, getattr(self, key),
+                            self.members_per_family, self.separability)
             # RngStream keeps 64 seed bits; 2**63 leaves room for derived seeds
             if not 0 <= self.seed < 2 ** 63:
                 raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _relay(self, keys, check, *args):
+        """Run a component's check on the values of ``keys``; its error names
+        the keys set away from their defaults (all of them if none is)."""
+        try:
+            check(*args)
+        except ValueError as exc:
+            changed = [f.name for f in fields(self) if f.name in keys
+                       and getattr(self, f.name) != f.default]
+            raise ValueError(f"{', '.join(changed or keys)}: {exc}") from exc
 
     def region_fractions(self):
         return RegionFractions(**{f.name: tuple(getattr(self, f.name))

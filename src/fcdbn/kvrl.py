@@ -7,19 +7,23 @@ by a second-stage stack, and a small classifier scores pairs of fused codes
 as kin / non-kin. Scoring is symmetrized so argument order never matters.
 
 Every crop is cut by ``cut_regions``, which works on image stacks a
-fixed-size block at a time from one crop table per call; ``extract_regions``
-is its one-image caller. Region geometry is checked only in
-``check_regions``, which config validation and ``KvrlModel.validate`` call.
-Every image-to-code step goes through ``encode_images`` (regions cut with
-the model's own geometry and extras; each distinct image encoded once),
-every pair feature through ``pair_features`` and every pair score through
-``score_pairs``; training, ``kin_score`` and the CLI are callers of these
-three. Labeled code pairs become a trained classifier only in
-``train_pair_classifier``.
+fixed-size block at a time from a crop table built once per geometry;
+``extract_regions`` is its one-image caller. Region geometry is checked only
+in ``check_regions``, which config validation and ``KvrlModel.validate``
+call. Every crop-to-code step goes through ``_encode_regions``, one
+``encode`` call per stack for a whole list of faces, and a face's code does
+not depend on the list it is in, bit for bit. Images become codes in
+``encode_images`` (regions cut with the model's own geometry and extras;
+each distinct image encoded once), every pair feature goes through
+``pair_features`` and every pair score through ``score_pairs``; training,
+``encode_face``, ``kin_score`` and the CLI are callers of these. Labeled code
+pairs become a trained classifier only in ``train_pair_classifier``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -52,6 +56,12 @@ _STD_FLOOR = 1e-8
 # one image at a time and 8-image blocks by 4%, while 4 still cut about
 # 2x faster than one image at a time.
 _BLOCK = 4
+# Distinct images encoded per block in encode_images: each block runs every
+# stack once over its rows, and its crops and activations bound the memory.
+# encode_images on the 864 pair images of a 60-family synth set peaked at
+# 5.6 MB (tracemalloc) one image at a time, 6.1 MB in blocks of 16 and
+# 8.5 MB in blocks of 64.
+_ENCODE_BLOCK = 16
 
 
 @dataclass
@@ -81,15 +91,17 @@ class RegionSet:
         raise KeyError(f"no region named {name!r}")
 
 
-def resize_bilinear(stack, out_rows, out_cols):
-    """Bilinear resample of each image of an (N, h, w) stack.
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    Exact copy when the dims already match.
-    """
-    stack = np.asarray(stack, dtype=np.float64)
-    h, w = stack.shape[1:]
-    if (h, w) == (out_rows, out_cols):
-        return stack.copy()
+
+@functools.lru_cache(maxsize=32)
+def _resize_plan(h, w, out_rows, out_cols):
+    """Source indices and weights of an (h, w) -> (out_rows, out_cols)
+    bilinear resample: (r0, r1, fr, 1 - fr, c0, c1, fc, 1 - fc), read-only
+    and computed once per geometry."""
     r_src = (np.arange(out_rows) + 0.5) * (h / out_rows) - 0.5
     c_src = (np.arange(out_cols) + 0.5) * (w / out_cols) - 0.5
     r_src = np.clip(r_src, 0, h - 1)
@@ -100,10 +112,23 @@ def resize_bilinear(stack, out_rows, out_cols):
     c1 = np.minimum(c0 + 1, w - 1)
     fr = (r_src - r0)[None, :, None]
     fc = (c_src - c0)[None, None, :]
+    return _read_only(r0, r1, fr, 1 - fr, c0, c1, fc, 1 - fc)
+
+
+def resize_bilinear(stack, out_rows, out_cols):
+    """Bilinear resample of each image of an (N, h, w) stack.
+
+    Exact copy when the dims already match.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    h, w = stack.shape[1:]
+    if (h, w) == (out_rows, out_cols):
+        return stack.copy()
+    r0, r1, fr, gr, c0, c1, fc, gc = _resize_plan(h, w, out_rows, out_cols)
     rows0, rows1 = stack[:, r0], stack[:, r1]
-    top = rows0[:, :, c0] * (1 - fc) + rows0[:, :, c1] * fc
-    bot = rows1[:, :, c0] * (1 - fc) + rows1[:, :, c1] * fc
-    return top * (1 - fr) + bot * fr
+    top = rows0[:, :, c0] * gc + rows0[:, :, c1] * fc
+    bot = rows1[:, :, c0] * gc + rows1[:, :, c1] * fc
+    return top * gr + bot * fr
 
 
 def standardize(stack):
@@ -169,18 +194,28 @@ def check_regions(regions, fractions, size, widths):
 
 
 def _crop_table(fractions, extras):
-    """name -> (fill, rows, cols) for the default crops plus ``extras``.
+    """((name, fill, rows, cols), ...) for the default crops plus ``extras``.
 
     Pixels under ``fill`` (None: none) take the image mean, then the
     ``rows`` x ``cols`` window is cut. The T crop keeps only mask pixels
-    inside the mask's bounding box; not-T blanks the mask.
+    inside the mask's bounding box; not-T blanks the mask. Built once per
+    geometry (fractions and extras, by value); the masks are read-only.
     """
+    return _cached_crop_table(tuple(map(tuple, astuple(fractions))),
+                              tuple(extras))
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_crop_table(fractions, extras):
+    fractions = RegionFractions(*fractions)
     mask = t_mask((FACE_SIZE, FACE_SIZE), fractions)
+    outside = ~mask
+    _read_only(mask, outside)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     whole = slice(None)
     table = {"face": (None, whole, whole),
-             "t_region": (~mask, slice(rows[0], rows[-1] + 1),
+             "t_region": (outside, slice(rows[0], rows[-1] + 1),
                           slice(cols[0], cols[-1] + 1)),
              "not_t": (mask, whole, whole)}
     extra_rows = {"binocular": fractions.eye_rows, "chin": fractions.chin_rows}
@@ -189,7 +224,7 @@ def _crop_table(fractions, extras):
             table[name] = (None, slice(*_span(extra_rows[name], FACE_SIZE)), whole)
         elif name not in table:
             raise ValueError(f"unknown extra region {name!r}")
-    return table
+    return tuple((name, *entry) for name, entry in table.items())
 
 
 def cut_regions(images, fractions=None, size=REGION_SIZE, extras=()):
@@ -200,11 +235,11 @@ def cut_regions(images, fractions=None, size=REGION_SIZE, extras=()):
     default crops are always cut; ``extras`` may name "binocular" and/or
     "chin" to fill RegionSet.extras (default names in it are ignored, so a
     model's region list can be passed as is). The crop table is built once
-    per call and the images are cut ``_BLOCK`` at a time, with the same
+    per geometry and the images are cut ``_BLOCK`` at a time, with the same
     elementwise arithmetic as one image at a time.
     """
     table = _crop_table(fractions or RegionFractions(), extras)
-    extra_names = list(table)[len(DEFAULT_REGIONS):]
+    extra_names = [entry[0] for entry in table[len(DEFAULT_REGIONS):]]
     for start in range(0, len(images), _BLOCK):
         block = np.asarray(images[start:start + _BLOCK], dtype=np.float64)
         if block.shape[1:] != (FACE_SIZE, FACE_SIZE):
@@ -212,7 +247,7 @@ def cut_regions(images, fractions=None, size=REGION_SIZE, extras=()):
                              f"got {block.shape[1:]}")
         mean = block.reshape(len(block), -1).mean(axis=1)[:, None, None]
         crops = {}
-        for name, (fill, rows, cols) in table.items():
+        for name, fill, rows, cols in table:
             filled = block if fill is None else np.where(fill, mean, block)
             crops[name] = standardize(resize_bilinear(filled[:, rows, cols],
                                                       size, size))
@@ -268,13 +303,23 @@ class KvrlModel:
                 raise ValueError(f"classifier input {got} != pair width {want}")
 
 
+def _encode_regions(model, region_sets):
+    """Codes of a list of RegionSets, one row each: shape (N, d).
+
+    Each stage-1 stack encodes its region of every set in one ``encode``
+    call, and the stage-2 stack their concatenated codes in one more.
+    ``encode`` takes one-row products, so a row does not depend on the
+    other sets in the list, bit for bit.
+    """
+    parts = [encode(model.stage1[name],
+                    np.stack([rs.get(name).ravel() for rs in region_sets]))
+             for name in model.regions]
+    return encode(model.stage2, np.hstack(parts))
+
+
 def encode_face(model, regions):
     """Stage-1 encode each region, concatenate, stage-2 encode. Pure."""
-    parts = []
-    for name in model.regions:
-        crop = regions.get(name)
-        parts.append(encode(model.stage1[name], crop.ravel()))
-    return encode(model.stage2, np.concatenate(parts))
+    return _encode_regions(model, [regions])[0]
 
 
 def encode_images(model, images):
@@ -283,10 +328,10 @@ def encode_images(model, images):
     Regions are cut with the model's own fractions, size and extras. This
     is where each distinct image (same dtype, shape and bytes) is encoded
     once; repeats get a copy of its row, in input order. The distinct
-    images go through ``cut_regions`` in one call, and each row is
-    ``encode_face`` of one image; batching the stacks through one GEMM
-    changes the rounding of codes and trained weights, so it is left to a
-    change that owns that drift.
+    images go through ``cut_regions`` in one call and are encoded
+    ``_ENCODE_BLOCK`` at a time, each block one ``encode`` per stack. A
+    row equals ``encode_face`` of its image bit for bit, whatever the
+    block.
     """
     index, distinct, rows = {}, [], []
     for img in images:
@@ -296,9 +341,12 @@ def encode_images(model, images):
             index[key] = len(distinct)
             distinct.append(img)
         rows.append(index[key])
-    codes = [encode_face(model, regions) for regions in cut_regions(
-        distinct, model.fractions, model.region_size, extras=model.regions)]
-    return np.stack(codes)[rows]
+    cut = cut_regions(distinct, model.fractions, model.region_size,
+                      extras=model.regions)
+    codes = []
+    while block := list(itertools.islice(cut, _ENCODE_BLOCK)):
+        codes.append(_encode_regions(model, block))
+    return np.vstack(codes)[rows]
 
 
 def pair_features(codes_a, codes_b):
@@ -328,9 +376,8 @@ def kin_score(model, a, b):
     """Symmetrized kin probability for two RegionSets, in [0, 1]."""
     if model.classifier is None:
         raise ModelStateError("kin_score needs a trained classifier")
-    ea = encode_face(model, a)
-    eb = encode_face(model, b)
-    return float(score_pairs(model.classifier, ea[None], eb[None])[0])
+    codes = _encode_regions(model, [a, b])
+    return float(score_pairs(model.classifier, codes[:1], codes[1:])[0])
 
 
 def pretrain_stages(pretrain_corpus, cfg):

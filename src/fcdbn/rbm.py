@@ -222,18 +222,26 @@ def energy_gaussian(v, h, layer):
     return float(-(v / layer.sigma) @ layer.W @ h + quad - layer.a @ h)
 
 
-def hidden_given_visible(v, layer):
+def hidden_given_visible(v, layer, per_row=False):
     """p(h_j = 1 | v), factorized over hidden units.
 
     Accepts a single vector or a batch of row vectors. For filtered layers
     ``v`` is the filter-aggregated visible (see apply_filters); for Gaussian
     layers the visibles are scaled by 1 / sigma before the weights.
+
+    A batch goes through one matrix product (BLAS gemm), whose rounding
+    depends on the batch. With ``per_row`` each row gets its own one-row
+    product, the BLAS gemv a single vector gets: numpy sends every
+    ``(1, D) @ (D, F)`` core of the stacked product ``(N, 1, D) @ (D, F)``
+    there, so row i is bit-identical to ``hidden_given_visible(v[i], layer)``
+    whatever the batch.
     """
     v, squeeze = _as_batch(v, layer.n_visible, "hidden_given_visible")
     if layer.unit_kind == GAUSSIAN:
         _check_sigma(layer)
         v = v / layer.sigma
-    p = sigmoid(v @ layer.W + layer.a)
+    pre = (v[:, None, :] @ layer.W)[:, 0, :] if per_row else v @ layer.W
+    p = sigmoid(pre + layer.a)
     return p[0] if squeeze else p
 
 
@@ -353,29 +361,38 @@ def contractive_penalty(layer, batch, activation="sigmoid"):
     return value, {"W": dW, "a": da}
 
 
+def _reconstruction_chain(layer, V, phi, vhat):
+    """The reconstruction loss's gradients along its chain, and on V.
+
+    (phi, vhat) is V's up-down pass; the loss is the mean over batch entries
+    of (vhat - V)^2. Returns (g0, g2, g1, dV): the gradients on vhat, on
+    phi W^T and on the hidden pre-activations, and the total gradient on V
+    (both the target path and the encoding path).
+    """
+    n, d = V.shape
+    g0 = 2.0 * (vhat - V) / (n * d)  # dL/dvhat
+    if layer.unit_kind == GAUSSIAN:
+        g2 = g0 * layer.sigma  # dL/d(phi W^T)
+    else:
+        g2 = g0 * vhat * (1.0 - vhat)
+    g1 = (g2 @ layer.W) * phi * (1.0 - phi)
+    return g0, g2, g1, -g0 + _to_visible(layer, g1)
+
+
 def _reconstruction_terms(layer, V, phi, vhat):
     """Deterministic one-step reconstruction error and its gradients.
 
-    (phi, vhat) is V's up-down pass; the loss is the mean over batch entries
-    of (vhat - V)^2. Returns the loss, gradients on W, a, b, and the total
-    gradient on V (both the target path and the encoding path).
+    Returns the loss, gradients on W, a, b, and the total gradient on V
+    (see _reconstruction_chain).
     """
-    n, d = V.shape
+    g0, g2, g1, dV = _reconstruction_chain(layer, V, phi, vhat)
+    loss = float(np.mean((vhat - V) ** 2))
     gaussian = layer.unit_kind == GAUSSIAN
-    diff = vhat - V
-    loss = float(np.mean(diff ** 2))
-    g0 = 2.0 * diff / (n * d)  # dL/dvhat
-    if gaussian:
-        g2 = g0 * layer.sigma  # dL/d(phi W^T)
-        db = g0.sum(axis=0)
-    else:
-        g2 = g0 * vhat * (1.0 - vhat)
-        db = g2.sum(axis=0)
+    db = (g0 if gaussian else g2).sum(axis=0)
     dW = g2.T @ phi  # decode path
-    g1 = (g2 @ layer.W) * phi * (1.0 - phi)
     Vs = V / layer.sigma if gaussian else V
     dW += Vs.T @ g1  # encode path
-    return loss, dW, g1.sum(axis=0), db, -g0 + _to_visible(layer, g1)
+    return loss, dW, g1.sum(axis=0), db, dV
 
 
 def fc_loss(layer, batch):
@@ -507,7 +524,7 @@ def cd_train(layer, data, cfg):
             V = _aggregate_rows(batch, out)
             phi, vhat = _up_down(out, V)
             step, recon = _cd_terms(out, V, phi, vhat, stream, cfg.cd_steps)
-            recon_dV = (_reconstruction_terms(out, V, phi, vhat)[4]
+            recon_dV = (_reconstruction_chain(out, V, phi, vhat)[3]
                         if out.n_filters else None)
             _, rW, ra, rfilters = _regularized_terms(out, batch, V, phi, recon_dV)
             errs.append(recon)

@@ -103,6 +103,30 @@ class TestCliBasics:
         assert run_command(["synth", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 0), ("cd_steps", 0), ("momentum", 1.0),
+        ("classifier_batch_size", 0), ("classifier_epochs", -1),
+        ("dropout_input", 1.0), ("dropout_hidden", -0.5),
+        ("regions", ["nose"]), ("region_size", 16), ("eye_rows", [0.5, 0.2]),
+        ("stage1_dims", [256, 8]), ("filter_size", 2), ("filter_size", 65),
+        ("alpha", -1.0), ("beta", -1.0), ("gmm_components", 0),
+        ("n_impostor", 3), ("families", 0), ("corpus_families", 0),
+        ("members_per_family", 0), ("separability", 2.0)])
+    def test_relayed_check_error_names_its_key(self, tmp_path, capsys, key,
+                                               value):
+        # the message names the keys set away from their defaults that the
+        # failing check reads: only the bad key here, and in a fuller config
+        # file the bad key among the others it sets
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            config_from_dict({key: value})
+        cfg = write_config(tmp_path / "c.json", **{key: value},
+                           output_dir=str(tmp_path / "out"))
+        assert run_command(["synth", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        named = err[len("config error: "):].split(": ")[0].split(", ")
+        assert key in named
+
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=4))
     def test_config_from_dict_fails_closed(self, data):
@@ -426,13 +450,13 @@ class TestReproducibility:
                      if p.label == "kin"]
         paths = {path for p in positives for path in (p.path_a, p.path_b)}
         faces = []
-        real = fcdbn.kvrl.encode_face
+        real = fcdbn.kvrl._encode_regions
 
-        def counting(model, regions):
-            faces.append(regions.face.tobytes())
-            return real(model, regions)
+        def counting(model, region_sets):
+            faces.extend(rs.face.tobytes() for rs in region_sets)
+            return real(model, region_sets)
 
-        monkeypatch.setattr(fcdbn.kvrl, "encode_face", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_regions", counting)
         for threads in ("1", "2"):
             faces.clear()
             monkeypatch.setenv("FCDBN_THREADS", threads)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fcdbn.deepnet
 from fcdbn.core import RngStream, sigmoid
 from fcdbn.deepnet import (
     DbnStack,
@@ -21,6 +22,7 @@ from fcdbn.rbm import (
     DivergenceError,
     RbmLayer,
     TrainConfig,
+    _aggregate_rows,
     hidden_given_visible,
 )
 
@@ -82,10 +84,38 @@ class TestGreedyPretrain:
         fc = FcOptions(n_filters=n_filters, alpha=0.05, beta=1e-4,
                        first_layer_gaussian=gaussian, image_shape=(6, 6))
         stack, codes = greedy_pretrain([36, 12, 6], data, cfg, fc)
-        assert np.array_equal(codes, encode(stack, data))
+        # the codes are the whole-batch composition training saw (one gemm
+        # per layer); encode's one-row products agree up to rounding
+        x = data
+        for layer in stack.layers:
+            x = hidden_given_visible(_aggregate_rows(x, layer), layer)
+        assert np.array_equal(codes, x)
+        assert np.max(np.abs(codes - encode(stack, data))) < 1e-12
+
+
+def trained_stack(kind, seed=9):
+    """A two-layer stack on 6x6 images: plain, filtered or filtered Gaussian."""
+    data = RngStream(seed=seed).uniform01(24 * 36).reshape(24, 36)
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=seed)
+    fc = FcOptions(n_filters=0 if kind == "plain" else 2, alpha=0.05, beta=1e-4,
+                   first_layer_gaussian=kind == "gaussian", image_shape=(6, 6))
+    stack, _ = greedy_pretrain([36, 12, 6], data, cfg, fc)
+    return stack
 
 
 class TestEncode:
+    @pytest.mark.parametrize("kind", ["plain", "filtered", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 65])
+    def test_batch_rows_equal_one_row_encodes(self, kind, n):
+        stack = trained_stack(kind)
+        batch = RngStream(seed=10).uniform01(n * 36).reshape(n, 36)
+        codes = encode(stack, batch)
+        assert codes.shape == (n, 6)
+        for row, v in zip(codes, batch):
+            assert np.array_equal(row, encode(stack, v))
+        # a row's code does not depend on the rows around it
+        assert np.array_equal(encode(stack, batch[::-1]), codes[::-1])
+
     def test_zero_stack_gives_half(self):
         stack = zero_stack([10, 6, 4])
         out = encode(stack, np.ones(10))
@@ -202,6 +232,28 @@ class TestMlpTrain:
         acc = np.mean((mlp_predict(model, x) >= 0.5) == (y == 1))
         assert acc >= 0.99
         assert all(np.isfinite(h) for h in history)
+
+    @pytest.mark.parametrize("draws", [1, 3 * 60, 7 * 60 + 1])
+    def test_chunked_permutations_train_the_same_model(self, monkeypatch, draws):
+        # draws = 1 takes one permutation per epoch, as a per-epoch
+        # stream.permutation call would; the others draw 3 or 7 epochs'
+        # orders at once and end on a partial chunk
+        x, y = self.separable_set()
+        cfg = TrainConfig(learning_rate=0.5, epochs=20, batch_size=16,
+                          momentum=0.5, seed=3)
+        ref, ref_history = mlp_train(x, y, [2, 4, 1], cfg, dropout_input=0.2)
+        monkeypatch.setattr(fcdbn.deepnet, "_PERMUTATION_DRAWS", draws)
+        model, history = mlp_train(x, y, [2, 4, 1], cfg, dropout_input=0.2)
+        assert history == ref_history
+        for got, want in zip(model.weights + model.biases,
+                             ref.weights + ref.biases):
+            assert np.array_equal(got, want)
+
+    def test_permutation_chunk_equals_successive_permutations(self):
+        chunk = fcdbn.deepnet._permutations(RngStream(seed=4), 5, 11)
+        stream = RngStream(seed=4)
+        for row in chunk:
+            assert np.array_equal(row, stream.permutation(11))
 
     def test_zero_epochs_gives_chance_loss(self):
         x, y = self.separable_set()

@@ -81,6 +81,20 @@ def test_eval_kin_does_not_depend_on_thread_counts(trained):
     assert runs[0] == runs[1]
 
 
+def test_encode_does_not_depend_on_blas_threads(trained):
+    d, _ = trained
+    image = sorted((d / "images").iterdir())[0]
+    runs = []
+    for t in THREADS:
+        out = d / f"encode{t}"
+        config = write_config(d / f"e{t}.json", **TINY, output_dir=str(out),
+                              model_in=str(d / "model1.json"), image=str(image))
+        stdout = run_cli("encode", config, t)
+        runs.append((stdout.replace(str(out), "<out>"),
+                     read_files(out, ("encoding.csv",))))
+    assert runs[0] == runs[1]
+
+
 def test_fuse_does_not_depend_on_blas_threads(tmp_path):
     runs = []
     for t in THREADS:

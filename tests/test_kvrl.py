@@ -200,6 +200,27 @@ class TestCutRegions:
                 assert np.array_equal(a.get(name), b.get(name))
                 assert np.array_equal(a.get(name), one.get(name))
 
+    def test_cached_cut_plans_are_read_only(self):
+        fractions = RegionFractions(eye_rows=(0.2, 0.5), chin_rows=(0.6, 1.0))
+        table = fcdbn.kvrl._crop_table(fractions, ("chin",))
+        # equal fractions and extras give the same table, built once
+        assert fcdbn.kvrl._crop_table(RegionFractions(
+            eye_rows=[0.2, 0.5], chin_rows=(0.6, 1.0)), ["chin"]) is table
+        assert [name for name, *_ in table] == ["face", "t_region", "not_t",
+                                                 "chin"]
+        plan = fcdbn.kvrl._resize_plan(14, 64, 32, 32)
+        arrays = [fill for _, fill, _, _ in table if fill is not None]
+        for a in arrays + list(plan):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+        img = RngStream(seed=20).uniform01(64 * 64).reshape(64, 64)
+        for _ in range(2):  # the second cut reads the cached plans
+            regions = extract_regions(img, fractions, extras=("chin",))
+            ref = reference_regions(img, fractions, extras=("chin",))
+            for name, crop in ref.items():
+                assert np.array_equal(regions.get(name), crop)
+
     def test_default_names_in_extras_are_ignored(self):
         img = RngStream(seed=16).uniform01(64 * 64).reshape(64, 64)
         regions = extract_regions(img, extras=("face", "chin", "not_t"))
@@ -279,23 +300,36 @@ class TestEncodeImages:
         stream = RngStream(seed=13)
         corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(4)]
         model = pretrain_stages(corpus, tiny_config(epochs=1))
-        calls = []
-        real = fcdbn.kvrl.encode_face
+        rows = []
+        real = fcdbn.kvrl._encode_regions
 
-        def counting(m, regions):
-            calls.append(regions)
-            return real(m, regions)
+        def counting(m, region_sets):
+            rows.extend(region_sets)
+            return real(m, region_sets)
 
         images = [corpus[2], corpus[0], corpus[2].copy(), corpus[1],
                   corpus[0], corpus[0].astype(np.float32)]
-        expected = np.stack([real(model, extract_regions(img))
+        expected = np.stack([encode_face(model, extract_regions(img))
                              for img in images])
-        monkeypatch.setattr(fcdbn.kvrl, "encode_face", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_regions", counting)
         codes = encode_images(model, images)
         # three distinct float64 images, plus the float32 copy of corpus[0]:
         # its dtype and bytes differ, so it is keyed as a fourth image
-        assert len(calls) == 4
+        assert len(rows) == 4
         assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("kind", ["plain", "filtered", "gaussian"])
+    def test_rows_past_a_block_boundary_equal_encode_face(self, kind):
+        stream = RngStream(seed=19)
+        n = fcdbn.kvrl._ENCODE_BLOCK + 1
+        images = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(n)]
+        model = pretrain_stages(images[:6], tiny_config(
+            epochs=1, n_filters=0 if kind == "plain" else 2,
+            first_layer_gaussian=kind == "gaussian"))
+        codes = encode_images(model, images)
+        assert codes.shape == (n, 8)
+        for row, img in zip(codes, images):
+            assert np.array_equal(row, encode_face(model, extract_regions(img)))
 
 
 class TestPairFeature:
@@ -370,6 +404,14 @@ class TestKinScore:
             ref = kin_score(model, extract_regions(a), extract_regions(b))
             assert abs(s - ref) <= 1e-12
 
+    def test_equals_one_face_encodes_and_score_pairs(self):
+        model, test_pairs = self.trained_model()
+        for a, b, _ in test_pairs[:6]:
+            ra, rb = extract_regions(a), extract_regions(b)
+            ea, eb = encode_face(model, ra), encode_face(model, rb)
+            expected = score_pairs(model.classifier, ea[None], eb[None])[0]
+            assert kin_score(model, ra, rb) == float(expected)
+
     def test_untrained_classifier_rejected(self):
         model = zero_model()
         regions = extract_regions(np.full((64, 64), 0.2))
@@ -426,20 +468,19 @@ class TestTrainKvrl:
         assert roc(scores, labels).auc >= 0.8
 
     def test_each_distinct_image_encoded_once(self, monkeypatch):
-        import fcdbn.kvrl
         corpus, train_pairs, _ = make_kin_benchmark(
             seed=11, n_families=6, members_per_family=4, separability=0.9,
             n_test_pairs=4, corpus_families=3)
         distinct = {img.tobytes() for a, b, _ in train_pairs for img in (a, b)}
         assert len(distinct) < 2 * len(train_pairs)  # images recur across pairs
         faces = []
-        real = fcdbn.kvrl.encode_face
+        real = fcdbn.kvrl._encode_regions
 
-        def counting(model, regions):
-            faces.append(regions.face.tobytes())
-            return real(model, regions)
+        def counting(model, region_sets):
+            faces.extend(rs.face.tobytes() for rs in region_sets)
+            return real(model, region_sets)
 
-        monkeypatch.setattr(fcdbn.kvrl, "encode_face", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_regions", counting)
         train_kvrl(corpus, train_pairs,
                    tiny_config(11, epochs=1, classifier_epochs=2))
         assert len(faces) == len(set(faces)) == len(distinct)
