@@ -1,8 +1,8 @@
 """Run configuration: one validated record drives training, eval, and CLI.
 
 Each rule on one setting lives with the code that uses it; ``RunConfig.validate``
-runs those checks before any work, prefixing their errors with the config keys
-they read, and adds the rules of the whole pipeline."""
+runs those checks before any work and adds the rules of the whole pipeline;
+every error is prefixed with the config keys it reads."""
 from __future__ import annotations
 
 import json
@@ -88,11 +88,12 @@ class RunConfig:
             for f in fields(self):
                 value = getattr(self, f.name)
                 if isinstance(f.default, float) and not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
-            if self.learning_rate <= 0 or self.classifier_learning_rate <= 0:
-                raise ValueError("learning rates must be > 0")
+                    raise ValueError(f"{f.name}: must be finite, got {value}")
+            for key in ("learning_rate", "classifier_learning_rate"):
+                if getattr(self, key) <= 0:
+                    raise ValueError(f"{key}: must be > 0")
             if self.epochs < 1:
-                raise ValueError("epochs must be >= 1")
+                raise ValueError(f"epochs: must be >= 1, got {self.epochs}")
             self._relay(("learning_rate", "epochs", "batch_size", "cd_steps",
                          "momentum"), self.rbm_config().validate)
             self._relay(("classifier_learning_rate", "classifier_epochs",
@@ -100,17 +101,18 @@ class RunConfig:
                         self.mlp_config().validate)
             self._relay(("dropout_input", "dropout_hidden"), check_dropout,
                         self.dropout_input, self.dropout_hidden)
-            if len(self.stage1_dims) < 2 or len(self.stage2_dims) < 2:
-                raise ValueError("stacks need at least two node counts")
-            if any(d < 1 for d in (*self.stage1_dims, *self.stage2_dims,
-                                   *self.classifier_hidden)):
-                raise ValueError("layer widths must be positive")
+            for key in ("stage1_dims", "stage2_dims"):
+                if len(getattr(self, key)) < 2:
+                    raise ValueError(f"{key}: a stack needs at least two node counts")
+            for key in ("stage1_dims", "stage2_dims", "classifier_hidden"):
+                if any(d < 1 for d in getattr(self, key)):
+                    raise ValueError(f"{key}: layer widths must be positive")
             self._relay(("regions", "region_size", "eye_rows", "nose_rows",
                          "nose_cols", "chin_rows", "stage1_dims"), check_regions,
                         self.regions, self.region_fractions(), self.region_size,
                         {name: self.stage1_dims[0] for name in self.regions})
             if self.n_filters < 0:
-                raise ValueError("n_filters must be >= 0")
+                raise ValueError(f"n_filters: must be >= 0, got {self.n_filters}")
             # a valid kernel side even when unused; it must fit the crop once used
             self._relay(("filter_size", "region_size", "n_filters"), check_kernel,
                         (self.filter_size,) * 2,
@@ -119,23 +121,24 @@ class RunConfig:
             # stage 2 reads the stage-1 codes of every region side by side
             width = len(self.regions) * self.stage1_dims[-1]
             if self.stage2_dims[0] != width:
-                raise ValueError(f"stage2_dims[0]={self.stage2_dims[0]} must equal "
-                                 f"len(regions) * stage1_dims[-1]={width}")
+                raise ValueError(f"stage2_dims: first width {self.stage2_dims[0]} must "
+                                 f"equal len(regions) * stage1_dims[-1]={width}")
             if self.fusion_method not in ("plr", "svm", "both"):
-                raise ValueError(f"unknown fusion method {self.fusion_method!r}")
+                raise ValueError(
+                    f"fusion_method: unknown method {self.fusion_method!r}")
             # fuse fits each score class with a gmm_components-mixture
             self._relay(("gmm_components", "n_genuine", "n_impostor"),
                         check_mixture_size, self.gmm_components,
                         min(self.n_genuine, self.n_impostor))
             if self.n_kin < (0 if self.fusion_method == "svm" else 1):
-                raise ValueError("n_kin must be >= 0, and >= 1 for plr fusion")
+                raise ValueError("n_kin: must be >= 0, and >= 1 for plr fusion")
             for key in ("families", "corpus_families"):  # pair pool, corpus
                 self._relay((key, "members_per_family", "separability"),
                             check_corpus_settings, getattr(self, key),
                             self.members_per_family, self.separability)
             # RngStream keeps 64 seed bits; 2**63 leaves room for derived seeds
             if not 0 <= self.seed < 2 ** 63:
-                raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
+                raise ValueError(f"seed: must be in [0, 2**63), got {self.seed}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -178,6 +178,5 @@ class RngStream:
         """Independent substream derived from (seed, index)."""
         mask = 0xFFFFFFFFFFFFFFFF
         state = ((self.seed & mask) * int(_MIX1) + (index + 1) * int(_GOLDEN)) & mask
-        z = (state ^ (state >> 30)) * int(_MIX1) & mask
-        z = (z ^ (z >> 27)) * int(_MIX2) & mask
-        return RngStream(seed=z ^ (z >> 31))
+        # a one-element array: uint64 arrays wrap silently, scalars warn
+        return RngStream(seed=int(_splitmix(np.array([state], dtype=np.uint64))[0]))

@@ -6,23 +6,22 @@ crop gets its own pretrained stack; their codes are concatenated and fused
 by a second-stage stack, and a small classifier scores pairs of fused codes
 as kin / non-kin. Scoring is symmetrized so argument order never matters.
 
-Every crop is cut by ``cut_regions``, which works on image stacks a
-fixed-size block at a time from a crop table built once per geometry;
-``extract_regions`` is its one-image caller. Region geometry is checked only
-in ``check_regions``, which config validation and ``KvrlModel.validate``
-call. Every crop-to-code step goes through ``_encode_regions``, one
-``encode`` call per stack for a whole list of faces, and a face's code does
-not depend on the list it is in, bit for bit. Images become codes in
-``encode_images`` (regions cut with the model's own geometry and extras;
-each distinct image encoded once), every pair feature goes through
-``pair_features`` and every pair score through ``score_pairs``; training,
-``encode_face``, ``kin_score`` and the CLI are callers of these. Labeled code
-pairs become a trained classifier only in ``train_pair_classifier``.
+Crops travel as named stacks, a dict mapping each region name to an
+(n, size, size) array: ``cut_regions`` cuts them a block of images at a
+time from a crop table built once per geometry, and ``_encode_crops`` turns
+them into codes with one ``encode`` call per stack. A face's code does not
+depend on its block, bit for bit. Region geometry is checked only in
+``check_regions``, which config validation and ``KvrlModel.validate`` call.
+Images become codes in ``encode_images`` (each distinct image encoded
+once), pairs of codes become features in ``pair_features`` and scores in
+``score_pairs``, and labeled code pairs become a classifier only in
+``train_pair_classifier``; training and the CLI call these. ``RegionSet``
+is the one-face view that ``extract_regions`` returns and ``encode_face``
+and ``kin_score`` read.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -50,18 +49,12 @@ REGION_SIZE = 32  # default side of every crop, in pixels
 DEFAULT_REGIONS = ("face", "t_region", "not_t")
 EXTRA_REGIONS = ("binocular", "chin")
 _STD_FLOOR = 1e-8
-# Images cut per block. A block's crops and temporaries bound the extra
-# memory of cutting many images at once. On the kinbench eval-cli workload
-# (2 vCPUs, medians of 10 runs) 4-image blocks raised peak RSS by 0.6% over
-# one image at a time and 8-image blocks by 4%, while 4 still cut about
-# 2x faster than one image at a time.
-_BLOCK = 4
-# Distinct images encoded per block in encode_images: each block runs every
-# stack once over its rows, and its crops and activations bound the memory.
-# encode_images on the 864 pair images of a 60-family synth set peaked at
-# 5.6 MB (tracemalloc) one image at a time, 6.1 MB in blocks of 16 and
-# 8.5 MB in blocks of 64.
-_ENCODE_BLOCK = 16
+# Images cut and encoded per block: each block runs every stack once over
+# its rows, and its crops, temporaries and activations bound the extra
+# memory. encode_images on the 864 pair images (144 distinct) of a 60-family
+# synth set peaked at 5.5 MB (tracemalloc) in blocks of 4, 6.3 MB in blocks
+# of 8 and 7.7 MB in blocks of 16, and blocks of 16 encoded them fastest.
+_BLOCK = 16
 
 
 @dataclass
@@ -193,20 +186,20 @@ def check_regions(regions, fractions, size, widths):
                              f"must equal region_size^2={size ** 2}")
 
 
-def _crop_table(fractions, extras):
-    """((name, fill, rows, cols), ...) for the default crops plus ``extras``.
+def _crop_table(fractions, names):
+    """((name, fill, rows, cols), ...) for the crops ``names``, in order.
 
     Pixels under ``fill`` (None: none) take the image mean, then the
     ``rows`` x ``cols`` window is cut. The T crop keeps only mask pixels
     inside the mask's bounding box; not-T blanks the mask. Built once per
-    geometry (fractions and extras, by value); the masks are read-only.
+    geometry (fractions and names, by value); the masks are read-only.
     """
     return _cached_crop_table(tuple(map(tuple, astuple(fractions))),
-                              tuple(extras))
+                              tuple(names))
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_crop_table(fractions, extras):
+def _cached_crop_table(fractions, names):
     fractions = RegionFractions(*fractions)
     mask = t_mask((FACE_SIZE, FACE_SIZE), fractions)
     outside = ~mask
@@ -217,29 +210,28 @@ def _cached_crop_table(fractions, extras):
     table = {"face": (None, whole, whole),
              "t_region": (outside, slice(rows[0], rows[-1] + 1),
                           slice(cols[0], cols[-1] + 1)),
-             "not_t": (mask, whole, whole)}
-    extra_rows = {"binocular": fractions.eye_rows, "chin": fractions.chin_rows}
-    for name in extras:
-        if name in extra_rows:
-            table[name] = (None, slice(*_span(extra_rows[name], FACE_SIZE)), whole)
-        elif name not in table:
-            raise ValueError(f"unknown extra region {name!r}")
-    return tuple((name, *entry) for name, entry in table.items())
+             "not_t": (mask, whole, whole),
+             "binocular": (None, slice(*_span(fractions.eye_rows, FACE_SIZE)),
+                           whole),
+             "chin": (None, slice(*_span(fractions.chin_rows, FACE_SIZE)),
+                      whole)}
+    for name in names:
+        if name not in table:
+            raise ValueError(f"unknown region {name!r}")
+    return tuple((name, *table[name]) for name in names)
 
 
-def cut_regions(images, fractions=None, size=REGION_SIZE, extras=()):
-    """Yield one RegionSet per aligned face, in input order.
+def cut_regions(images, fractions=None, size=REGION_SIZE, names=DEFAULT_REGIONS):
+    """Yield the crops of each block of ``_BLOCK`` aligned faces, in order.
 
     ``images`` is a sequence of aligned faces or one (N, FACE_SIZE, FACE_SIZE)
-    array. Every crop is resized to size x size and standardized. The three
-    default crops are always cut; ``extras`` may name "binocular" and/or
-    "chin" to fill RegionSet.extras (default names in it are ignored, so a
-    model's region list can be passed as is). The crop table is built once
-    per geometry and the images are cut ``_BLOCK`` at a time, with the same
-    elementwise arithmetic as one image at a time.
+    array. Each block gives one dict mapping every region in ``names`` (and
+    only those) to an (n, size, size) stack, one crop per image of the
+    block; every crop is resized to size x size and standardized. The crop
+    table is built once per geometry. A crop depends only on its own image,
+    so neither the block nor the other names change any of its bits.
     """
-    table = _crop_table(fractions or RegionFractions(), extras)
-    extra_names = [entry[0] for entry in table[len(DEFAULT_REGIONS):]]
+    table = _crop_table(fractions or RegionFractions(), names)
     for start in range(0, len(images), _BLOCK):
         block = np.asarray(images[start:start + _BLOCK], dtype=np.float64)
         if block.shape[1:] != (FACE_SIZE, FACE_SIZE):
@@ -251,17 +243,21 @@ def cut_regions(images, fractions=None, size=REGION_SIZE, extras=()):
             filled = block if fill is None else np.where(fill, mean, block)
             crops[name] = standardize(resize_bilinear(filled[:, rows, cols],
                                                       size, size))
-        for i in range(len(block)):
-            yield RegionSet(face=crops["face"][i],
-                            t_region=crops["t_region"][i],
-                            not_t=crops["not_t"][i],
-                            extras={name: crops[name][i]
-                                    for name in extra_names})
+        yield crops
 
 
 def extract_regions(aligned_face, fractions=None, size=REGION_SIZE, extras=()):
-    """The RegionSet of one aligned face (``cut_regions`` of one)."""
-    return next(cut_regions([aligned_face], fractions, size, extras))
+    """The RegionSet of one aligned face: row 0 of its one-image cut.
+
+    The three default crops are always cut; ``extras`` may name "binocular"
+    and/or "chin" to fill RegionSet.extras (default names in it are
+    ignored, so a model's region list can be passed as is).
+    """
+    names = tuple(dict.fromkeys(DEFAULT_REGIONS + tuple(extras)))
+    crops = next(cut_regions([aligned_face], fractions, size, names))
+    return RegionSet(*(crops[name][0] for name in DEFAULT_REGIONS),
+                     extras={name: crops[name][0]
+                             for name in names[len(DEFAULT_REGIONS):]})
 
 
 @dataclass
@@ -303,35 +299,35 @@ class KvrlModel:
                 raise ValueError(f"classifier input {got} != pair width {want}")
 
 
-def _encode_regions(model, region_sets):
-    """Codes of a list of RegionSets, one row each: shape (N, d).
+def _encode_crops(model, crops):
+    """Codes of a block of faces from their named crop stacks: shape (n, d).
 
-    Each stage-1 stack encodes its region of every set in one ``encode``
-    call, and the stage-2 stack their concatenated codes in one more.
-    ``encode`` takes one-row products, so a row does not depend on the
-    other sets in the list, bit for bit.
+    Each stage-1 stack encodes its region's stack in one ``encode`` call,
+    and the stage-2 stack their concatenated codes in one more. ``encode``
+    takes one-row products, so a row does not depend on the other faces in
+    the block, bit for bit.
     """
     parts = [encode(model.stage1[name],
-                    np.stack([rs.get(name).ravel() for rs in region_sets]))
+                    crops[name].reshape(len(crops[name]), -1))
              for name in model.regions]
     return encode(model.stage2, np.hstack(parts))
 
 
 def encode_face(model, regions):
     """Stage-1 encode each region, concatenate, stage-2 encode. Pure."""
-    return _encode_regions(model, [regions])[0]
+    return _encode_crops(model, {name: regions.get(name)[None]
+                                 for name in model.regions})[0]
 
 
 def encode_images(model, images):
     """Codes for aligned faces, one row per image: shape (N, d).
 
-    Regions are cut with the model's own fractions, size and extras. This
+    Regions are cut with the model's own fractions, size and regions. This
     is where each distinct image (same dtype, shape and bytes) is encoded
     once; repeats get a copy of its row, in input order. The distinct
-    images go through ``cut_regions`` in one call and are encoded
-    ``_ENCODE_BLOCK`` at a time, each block one ``encode`` per stack. A
-    row equals ``encode_face`` of its image bit for bit, whatever the
-    block.
+    images are cut and encoded a block at a time, each block one ``encode``
+    per stack. A row equals ``encode_face`` of its image bit for bit,
+    whatever the block; no images give a (0, d) array.
     """
     index, distinct, rows = {}, [], []
     for img in images:
@@ -341,12 +337,9 @@ def encode_images(model, images):
             index[key] = len(distinct)
             distinct.append(img)
         rows.append(index[key])
-    cut = cut_regions(distinct, model.fractions, model.region_size,
-                      extras=model.regions)
-    codes = []
-    while block := list(itertools.islice(cut, _ENCODE_BLOCK)):
-        codes.append(_encode_regions(model, block))
-    return np.vstack(codes)[rows]
+    codes = [_encode_crops(model, crops) for crops in cut_regions(
+        distinct, model.fractions, model.region_size, model.regions)]
+    return np.vstack([np.empty((0, model.stage2.layer_dims[-1]))] + codes)[rows]
 
 
 def pair_features(codes_a, codes_b):
@@ -376,7 +369,8 @@ def kin_score(model, a, b):
     """Symmetrized kin probability for two RegionSets, in [0, 1]."""
     if model.classifier is None:
         raise ModelStateError("kin_score needs a trained classifier")
-    codes = _encode_regions(model, [a, b])
+    codes = _encode_crops(model, {name: np.stack([a.get(name), b.get(name)])
+                                  for name in model.regions})
     return float(score_pairs(model.classifier, codes[:1], codes[1:])[0])
 
 
@@ -392,8 +386,7 @@ def pretrain_stages(pretrain_corpus, cfg):
     cfg.validate()
     fractions = cfg.region_fractions()
     size = cfg.region_size
-    corpus_regions = list(cut_regions(pretrain_corpus, fractions, size,
-                                      extras=cfg.regions))
+    blocks = list(cut_regions(pretrain_corpus, fractions, size, cfg.regions))
 
     fc = FcOptions(n_filters=cfg.n_filters, filter_size=cfg.filter_size,
                    alpha=cfg.alpha, beta=cfg.beta,
@@ -401,7 +394,8 @@ def pretrain_stages(pretrain_corpus, cfg):
                    image_shape=(size, size))
     stage1, stage1_codes = {}, []
     for idx, name in enumerate(cfg.regions):
-        x = np.stack([rs.get(name).ravel() for rs in corpus_regions])
+        x = np.concatenate([crops[name] for crops in blocks]).reshape(
+            -1, size * size)
         rbm_cfg = cfg.rbm_config(seed_offset=idx)
         stage1[name], codes = greedy_pretrain(list(cfg.stage1_dims), x,
                                               rbm_cfg, fc)

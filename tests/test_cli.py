@@ -111,7 +111,13 @@ class TestCliBasics:
         ("stage1_dims", [256, 8]), ("filter_size", 2), ("filter_size", 65),
         ("alpha", -1.0), ("beta", -1.0), ("gmm_components", 0),
         ("n_impostor", 3), ("families", 0), ("corpus_families", 0),
-        ("members_per_family", 0), ("separability", 2.0)])
+        ("members_per_family", 0), ("separability", 2.0),
+        # rules of RunConfig.validate itself name their one key
+        ("learning_rate", -1.0), ("classifier_learning_rate", -1),
+        ("epochs", 0), ("stage1_dims", [1024]), ("stage2_dims", [1536]),
+        ("classifier_hidden", [16, 0]), ("stage2_dims", [100, 8]),
+        ("n_filters", -1), ("fusion_method", "mean"), ("n_kin", 0),
+        ("seed", -1), ("alpha", float("nan"))])
     def test_relayed_check_error_names_its_key(self, tmp_path, capsys, key,
                                                value):
         # the message names the keys set away from their defaults that the
@@ -450,13 +456,13 @@ class TestReproducibility:
                      if p.label == "kin"]
         paths = {path for p in positives for path in (p.path_a, p.path_b)}
         faces = []
-        real = fcdbn.kvrl._encode_regions
+        real = fcdbn.kvrl._encode_crops
 
-        def counting(model, region_sets):
-            faces.extend(rs.face.tobytes() for rs in region_sets)
-            return real(model, region_sets)
+        def counting(model, crops):
+            faces.extend(crop.tobytes() for crop in crops["face"])
+            return real(model, crops)
 
-        monkeypatch.setattr(fcdbn.kvrl, "_encode_regions", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
         for threads in ("1", "2"):
             faces.clear()
             monkeypatch.setenv("FCDBN_THREADS", threads)

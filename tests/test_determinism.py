@@ -4,8 +4,10 @@ BLAS reads its thread count once, when numpy is first imported, so every run
 here is a fresh ``fcdbn.cli`` process with OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS set, first to 1 and then to 2. The runs go one after
 another. The config is the tiny one of the CI determinism step: seed 3, 16
-families, two filters and a Gaussian first layer.
+families, two filters and a Gaussian first layer; one more run cuts all
+five regions.
 """
+import itertools
 import json
 import os
 import subprocess
@@ -74,11 +76,11 @@ def test_train_kin_model_does_not_depend_on_blas_threads(trained):
 def test_eval_kin_does_not_depend_on_thread_counts(trained):
     d, configs = trained
     runs = []
-    for t in THREADS:
-        stdout = run_cli("eval-kin", configs[t], t, fcdbn_threads=t)
-        runs.append((stdout, read_files(d / f"out{t}", (
+    for blas, threads in itertools.product(THREADS, THREADS):
+        stdout = run_cli("eval-kin", configs[blas], blas, fcdbn_threads=threads)
+        runs.append((stdout, read_files(d / f"out{blas}", (
             "folds.csv", "relations.csv", "roc.csv"))))
-    assert runs[0] == runs[1]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_encode_does_not_depend_on_blas_threads(trained):
@@ -92,6 +94,25 @@ def test_encode_does_not_depend_on_blas_threads(trained):
         stdout = run_cli("encode", config, t)
         runs.append((stdout.replace(str(out), "<out>"),
                      read_files(out, ("encoding.csv",))))
+    assert runs[0] == runs[1]
+
+
+def test_five_region_pretrain_and_encode_do_not_depend_on_blas_threads(
+        trained):
+    d, _ = trained
+    image = sorted((d / "images").iterdir())[0]
+    five = dict(TINY, regions=["face", "t_region", "not_t", "chin", "binocular"],
+                stage2_dims=[120, 48, 24])
+    runs = []
+    for t in THREADS:
+        out = d / f"five{t}"
+        config = write_config(
+            d / f"f{t}.json", **five, output_dir=str(out),
+            corpus_dir=str(d / "corpus"), model_out=str(out / "model.json"),
+            model_in=str(out / "model.json"), image=str(image))
+        stdout = run_cli("pretrain", config, t) + run_cli("encode", config, t)
+        runs.append((stdout.replace(str(out), "<out>"),
+                     read_files(out, ("model.json", "encoding.csv"))))
     assert runs[0] == runs[1]
 
 

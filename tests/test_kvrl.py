@@ -7,6 +7,8 @@ from fcdbn.core import RngStream
 from fcdbn.deepnet import encode
 from fcdbn.evaluation import roc
 from fcdbn.kvrl import (
+    DEFAULT_REGIONS,
+    EXTRA_REGIONS,
     KvrlModel,
     ModelStateError,
     RegionFractions,
@@ -27,6 +29,9 @@ from fcdbn.kvrl import (
 )
 from fcdbn.rbm import RbmLayer
 from fcdbn.synth import make_kin_benchmark
+
+
+ALL_REGIONS = DEFAULT_REGIONS + EXTRA_REGIONS
 
 
 def zero_stack(dims):
@@ -180,34 +185,49 @@ class TestCutRegions:
     ])
     def test_equals_one_image_at_a_time(self, size, fractions):
         images = self.images()
-        cut = list(cut_regions(images, fractions, size,
-                               extras=("binocular", "chin")))
-        assert len(cut) == len(images)
-        for regions, img in zip(cut, images):
-            ref = reference_regions(img, fractions, size)
-            assert list(regions.extras) == ["binocular", "chin"]
-            for name, crop in ref.items():
-                assert regions.get(name).shape == (size, size)
-                assert np.array_equal(regions.get(name), crop)
+        blocks = list(cut_regions(images, fractions, size, ALL_REGIONS))
+        assert [len(b["face"]) for b in blocks[:-1]] == [
+            fcdbn.kvrl._BLOCK] * (len(blocks) - 1)
+        assert all(list(crops) == list(ALL_REGIONS) for crops in blocks)
+        stacks = {name: np.concatenate([b[name] for b in blocks])
+                  for name in ALL_REGIONS}
+        for i, img in enumerate(images):
+            for name, crop in reference_regions(img, fractions, size).items():
+                assert stacks[name].shape == (len(images), size, size)
+                assert np.array_equal(stacks[name][i], crop)
+
+    @pytest.mark.parametrize("names", [("chin",), ("t_region",),
+                                       ("binocular", "face")])
+    def test_cuts_only_the_names_asked_for(self, names):
+        images = self.images()
+        part = list(cut_regions(images, names=names))
+        full = list(cut_regions(images, names=ALL_REGIONS))
+        assert all(list(crops) == list(names) for crops in part)
+        for name in names:
+            assert np.array_equal(np.concatenate([c[name] for c in part]),
+                                  np.concatenate([c[name] for c in full]))
+        with pytest.raises(ValueError):
+            next(cut_regions(images, names=names + ("nose",)))
 
     def test_stack_array_and_one_image_callers_agree(self):
         images = self.images()[:-1]  # one dtype, so they stack
         from_list = list(cut_regions(images))
         from_array = list(cut_regions(np.stack(images)))
-        for img, a, b in zip(images, from_list, from_array):
-            one = extract_regions(img)
-            for name in ("face", "t_region", "not_t"):
-                assert np.array_equal(a.get(name), b.get(name))
-                assert np.array_equal(a.get(name), one.get(name))
+        for name in DEFAULT_REGIONS:
+            listed = np.concatenate([c[name] for c in from_list])
+            assert np.array_equal(listed, np.concatenate(
+                [c[name] for c in from_array]))
+            for img, crop in zip(images, listed):
+                assert np.array_equal(crop, extract_regions(img).get(name))
 
     def test_cached_cut_plans_are_read_only(self):
         fractions = RegionFractions(eye_rows=(0.2, 0.5), chin_rows=(0.6, 1.0))
-        table = fcdbn.kvrl._crop_table(fractions, ("chin",))
-        # equal fractions and extras give the same table, built once
+        names = ("face", "t_region", "not_t", "chin")
+        table = fcdbn.kvrl._crop_table(fractions, names)
+        # equal fractions and names give the same table, built once
         assert fcdbn.kvrl._crop_table(RegionFractions(
-            eye_rows=[0.2, 0.5], chin_rows=(0.6, 1.0)), ["chin"]) is table
-        assert [name for name, *_ in table] == ["face", "t_region", "not_t",
-                                                 "chin"]
+            eye_rows=[0.2, 0.5], chin_rows=(0.6, 1.0)), list(names)) is table
+        assert [name for name, *_ in table] == list(names)
         plan = fcdbn.kvrl._resize_plan(14, 64, 32, 32)
         arrays = [fill for _, fill, _, _ in table if fill is not None]
         for a in arrays + list(plan):
@@ -301,27 +321,31 @@ class TestEncodeImages:
         corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(4)]
         model = pretrain_stages(corpus, tiny_config(epochs=1))
         rows = []
-        real = fcdbn.kvrl._encode_regions
+        real = fcdbn.kvrl._encode_crops
 
-        def counting(m, region_sets):
-            rows.extend(region_sets)
-            return real(m, region_sets)
+        def counting(m, crops):
+            rows.extend(crops["face"])
+            return real(m, crops)
 
         images = [corpus[2], corpus[0], corpus[2].copy(), corpus[1],
                   corpus[0], corpus[0].astype(np.float32)]
         expected = np.stack([encode_face(model, extract_regions(img))
                              for img in images])
-        monkeypatch.setattr(fcdbn.kvrl, "_encode_regions", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
         codes = encode_images(model, images)
         # three distinct float64 images, plus the float32 copy of corpus[0]:
         # its dtype and bytes differ, so it is keyed as a fourth image
         assert len(rows) == 4
         assert np.array_equal(codes, expected)
 
+    def test_no_images_give_no_rows(self):
+        codes = encode_images(zero_model(), [])
+        assert codes.shape == (0, 8) and codes.dtype == np.float64
+
     @pytest.mark.parametrize("kind", ["plain", "filtered", "gaussian"])
     def test_rows_past_a_block_boundary_equal_encode_face(self, kind):
         stream = RngStream(seed=19)
-        n = fcdbn.kvrl._ENCODE_BLOCK + 1
+        n = fcdbn.kvrl._BLOCK + 1
         images = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(n)]
         model = pretrain_stages(images[:6], tiny_config(
             epochs=1, n_filters=0 if kind == "plain" else 2,
@@ -474,13 +498,13 @@ class TestTrainKvrl:
         distinct = {img.tobytes() for a, b, _ in train_pairs for img in (a, b)}
         assert len(distinct) < 2 * len(train_pairs)  # images recur across pairs
         faces = []
-        real = fcdbn.kvrl._encode_regions
+        real = fcdbn.kvrl._encode_crops
 
-        def counting(model, region_sets):
-            faces.extend(rs.face.tobytes() for rs in region_sets)
-            return real(model, region_sets)
+        def counting(model, crops):
+            faces.extend(crop.tobytes() for crop in crops["face"])
+            return real(model, crops)
 
-        monkeypatch.setattr(fcdbn.kvrl, "_encode_regions", counting)
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
         train_kvrl(corpus, train_pairs,
                    tiny_config(11, epochs=1, classifier_epochs=2))
         assert len(faces) == len(set(faces)) == len(distinct)
