@@ -22,6 +22,7 @@ and ``kin_score`` read.
 from __future__ import annotations
 
 import functools
+import zlib
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -52,8 +53,8 @@ _STD_FLOOR = 1e-8
 # Images cut and encoded per block: each block runs every stack once over
 # its rows, and its crops, temporaries and activations bound the extra
 # memory. encode_images on the 864 pair images (144 distinct) of a 60-family
-# synth set peaked at 5.5 MB (tracemalloc) in blocks of 4, 6.3 MB in blocks
-# of 8 and 7.7 MB in blocks of 16, and blocks of 16 encoded them fastest.
+# synth set peaks at 2.9 MB (tracemalloc) in blocks of 16; blocks of 4 and 8
+# peaked 2.2 and 1.4 MB lower, and blocks of 16 encoded them fastest.
 _BLOCK = 16
 
 
@@ -331,12 +332,19 @@ def encode_images(model, images):
     """
     index, distinct, rows = {}, [], []
     for img in images:
-        img = np.asarray(img)
-        key = (img.dtype.str, img.shape, img.tobytes())
-        if key not in index:
-            index[key] = len(distinct)
+        img = np.ascontiguousarray(img)
+        # a CRC-32 keys the index without a copy of the image; a match is
+        # confirmed on the stored image's bytes, so a collision cannot
+        # merge two images
+        same = index.setdefault(
+            (img.dtype.str, img.shape, zlib.crc32(img)), [])
+        row = next((i for i in same if np.array_equal(
+            distinct[i].view(np.uint8), img.view(np.uint8))), None)
+        if row is None:
+            row = len(distinct)
+            same.append(row)
             distinct.append(img)
-        rows.append(index[key])
+        rows.append(row)
     codes = [_encode_crops(model, crops) for crops in cut_regions(
         distinct, model.fractions, model.region_size, model.regions)]
     return np.vstack([np.empty((0, model.stage2.layer_dims[-1]))] + codes)[rows]

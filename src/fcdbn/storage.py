@@ -8,17 +8,22 @@ A model document is JSON: format tag, version, kind, and a payload that is
 the model's saved dataclass fields by name. Each array is an object
 ``{"shape": [...], "f8": <base64 of little-endian float64>}``, which
 round-trips exactly; version 1 documents, with arrays as nested lists of
-decimals, still load. Loading fails closed (``ModelFormatError``): see
+decimals, still load. Saving streams the document: its small JSON skeleton
+as text, and each array's base64 a bounded chunk at a time from the array's
+own buffer, so no copy of the whole text is built (see ``save_model``).
+Loading fails closed (``ModelFormatError``): see ``load_model``,
 ``_from_doc``, ``_from_arr`` and each model class's ``validate``.
 """
 from __future__ import annotations
 
 import base64
+import binascii
 import csv
 import functools
 import json
 import math
 import os
+import re
 import secrets
 from dataclasses import dataclass, fields, is_dataclass
 from types import UnionType
@@ -45,24 +50,31 @@ class ModelFormatError(ValueError):
     """Model document fails version, schema or dimension checks."""
 
 
-def atomic_write_bytes(path, payload):
-    """Write payload to a fresh temp file beside path, then rename it over path.
+def atomic_write_chunks(path, chunks):
+    """Write an iterable of byte chunks to a fresh temp file beside path,
+    then rename it over path.
 
-    Concurrent writers never share a temp file, and a failed write removes
-    its temp file and leaves path as it was. The file is created with mode
-    0o666 less the process umask at the time of the write, as open() does.
+    Concurrent writers never share a temp file. A failure, in a write or in
+    the iterable itself, removes the temp file and leaves path as it was.
+    The file is created with mode 0o666 less the process umask at the time
+    of the write, as open() does. Each chunk is released once written.
     """
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
     finally:
         if tmp is not None:
             os.unlink(tmp)
+
+
+def atomic_write_bytes(path, payload):
+    """Write one bytes payload atomically; see ``atomic_write_chunks``."""
+    atomic_write_chunks(path, (payload,))
 
 
 def atomic_write_text(path, text):
@@ -142,12 +154,32 @@ def save_pgm(path, image):
 _KINDS = {"kvrl": KvrlModel, "plr": PlrModels, "svm": SvmModel}
 # Largest magnitude of a stored array value; see _from_arr.
 MAX_STORED_ABS = 1e50
+# Characters per read of a model file; below glibc's smallest mmap
+# threshold (128 KiB), so each piece comes from memory the heap can reuse.
+_READ = 1 << 16
+# Array bytes per base64 chunk. A multiple of 3, so the chunks' base64
+# joins into the base64 of the whole buffer, with padding only at its end.
+_CHUNK = 3 << 16
 
 
-def _arr(a):
+def _b64_chunks(a):
+    """Base64 of a C-contiguous ``<f8`` array's bytes, ``_CHUNK`` bytes at a
+    time, read from the array's own buffer: no ``tobytes`` copy."""
+    # cast refuses a shape with a 0 in it, so view the flat array
+    view = memoryview(a.reshape(-1)).cast("B")
+    for i in range(0, len(view), _CHUNK):
+        yield binascii.b2a_base64(view[i:i + _CHUNK], newline=False)
+
+
+def _b64_text(a):
+    return b"".join(_b64_chunks(a)).decode("ascii")
+
+
+def _arr(a, f8=_b64_text):
+    """JSON form of an array: its shape, and ``f8`` of its C-contiguous
+    ``<f8`` form (by default the base64 text of its bytes)."""
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape),
-            "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+    return {"shape": list(a.shape), "f8": f8(a)}
 
 
 def _from_arr(x, where):
@@ -216,18 +248,18 @@ def _saved_fields(cls):
             if f.metadata.get("saved", True)}
 
 
-def _to_doc(value):
+def _to_doc(value, arr):
     """JSON form of a model value: a dataclass as an object of its saved
-    fields, an array through ``_arr``, a tuple as a list."""
+    fields, an array through ``arr``, a tuple as a list."""
     if is_dataclass(value):
-        return {name: _to_doc(getattr(value, name))
+        return {name: _to_doc(getattr(value, name), arr)
                 for name in _saved_fields(type(value))}
     if isinstance(value, np.ndarray):
-        return _arr(value)
+        return arr(value)
     if isinstance(value, dict):
-        return {key: _to_doc(v) for key, v in value.items()}
+        return {key: _to_doc(v, arr) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_to_doc(v) for v in value]
+        return [_to_doc(v, arr) for v in value]
     return value
 
 
@@ -273,26 +305,70 @@ def _object_from_doc(cls, node, where):
 
 
 def save_model(model, path):
-    """Serialize a KVRL, PLR, or SVM model to a JSON text document."""
+    """Serialize a KVRL, PLR, or SVM model to a JSON text document.
+
+    The file is byte for byte ``json.dumps(doc, sort_keys=True)`` of the
+    document, but that text is never built. The skeleton is dumped with a
+    marker string, ``"<nonce>:<k>"``, in place of array k's base64; the
+    nonce is fresh random hex per save, so no string of the model can pass
+    for a marker. The file is then written through ``atomic_write_chunks``:
+    the skeleton's text, with each marker replaced by its array's base64 in
+    ``_CHUNK``-sized pieces. Every array must appear exactly once, or the
+    save raises ``RuntimeError`` and writes nothing.
+    """
     kind = {cls: k for k, cls in _KINDS.items()}.get(type(model))
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-           "kind": kind, "payload": _to_doc(model)}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    nonce, arrays = secrets.token_hex(16), []
+
+    def marker(a):
+        arrays.append(a)
+        return f"{nonce}:{len(arrays) - 1}"
+
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
+           "payload": _to_doc(model, functools.partial(_arr, f8=marker))}
+    # text, index, text, ..., index, text; each marker's quotes stay in
+    # the text around it
+    parts = re.split(f'(?<="){nonce}:([0-9]+)(?=")',
+                     json.dumps(doc, sort_keys=True))
+    order = [int(k) for k in parts[1::2]]
+    if sorted(order) != list(range(len(arrays))):
+        raise RuntimeError(f"{len(order)} array markers in the document "
+                           f"for {len(arrays)} arrays")
+
+    def chunks():
+        yield parts[0].encode("utf-8")
+        for k, text in zip(order, parts[2::2]):
+            yield from _b64_chunks(arrays[k])
+            yield text.encode("utf-8")
+
+    atomic_write_chunks(path, chunks())
+
+
+def _read_json(path):
+    """The JSON value of the UTF-8 file at ``path``: ``ModelFormatError`` if
+    it is not UTF-8, not JSON, or nested too deeply to parse; ``OSError`` if
+    it cannot be read. The text is read ``_READ`` characters at a time: one
+    whole read holds the file's bytes and its text at once, two fresh
+    copies that set the peak memory of a process loading a paper-size
+    model. No copy is left once this returns, before the arrays decode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = "".join(iter(functools.partial(fh.read, _READ), ""))
+        return json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ModelFormatError(f"not a model document: {exc}") from exc
 
 
 def load_model(path):
     """Reconstruct a saved model; fails closed on any inconsistency.
 
-    Every defect in the document, including a missing or unknown key or a
-    value of the wrong type, raises ``ModelFormatError``.
+    Every defect in the document, including bytes that are not UTF-8,
+    nesting too deep to parse, a missing or unknown key or a value of the
+    wrong type, raises ``ModelFormatError``. A file that cannot be read
+    raises ``OSError``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not a model document: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("missing fcdbn-model format tag")
     version = doc.get("version")

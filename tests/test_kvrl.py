@@ -338,6 +338,34 @@ class TestEncodeImages:
         assert len(rows) == 4
         assert np.array_equal(codes, expected)
 
+    @pytest.mark.parametrize("collide", [False, True],
+                             ids=["crc32", "every-checksum-equal"])
+    def test_repeats_share_a_row_and_a_changed_pixel_does_not(
+            self, monkeypatch, collide):
+        stream = RngStream(seed=14)
+        corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(3)]
+        model = pretrain_stages(corpus, tiny_config(epochs=1))
+        img = corpus[0]
+        changed = img.copy()
+        changed[40, 7] = np.nextafter(changed[40, 7], 2.0)
+        faces = []
+        real = fcdbn.kvrl._encode_crops
+
+        def counting(m, crops):
+            faces.extend(crops["face"])
+            return real(m, crops)
+
+        images = [img, img.copy(), changed, np.asfortranarray(img), img]
+        expected = np.stack([encode_face(model, extract_regions(i))
+                             for i in images])
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
+        if collide:  # only the byte check tells the images apart
+            monkeypatch.setattr(fcdbn.kvrl.zlib, "crc32", lambda data: 0)
+        codes = encode_images(model, images)
+        # img and its copies share one row, the one-ulp change gets its own
+        assert len(faces) == 2
+        assert np.array_equal(codes, expected)
+
     def test_no_images_give_no_rows(self):
         codes = encode_images(zero_model(), [])
         assert codes.shape == (0, 8) and codes.dtype == np.float64

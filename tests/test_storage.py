@@ -1,8 +1,11 @@
 import base64
+import errno
+import io
 import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +213,24 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("data", [
+        b"\xff" + json.dumps({"format": "fcdbn-model"}).encode(),
+        b'{"format": "fcdbn-model", "kind": "kv\xc3(rl"}',
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["undecodable-first-byte", "invalid-utf8-in-string",
+            "nested-too-deep"])
+    def test_unparsable_bytes_are_a_format_error(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ModelFormatError, match="not a model document"):
+            load_model(path)
+
+    def test_unreadable_path_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_model(tmp_path / "missing.json")
+        with pytest.raises(IsADirectoryError):
+            load_model(tmp_path)
+
 
 def hand_model(n_filters=2, gaussian=True, seed=0, classifier=True):
     """A tiny KVRL model built directly: 4x4 regions, 3 hidden units each."""
@@ -289,10 +310,14 @@ def write_doc(doc, path):
     return path
 
 
+def fusion_model(kind):
+    return getattr(fit_fusion(synth_scores(1, 60, 60), n_components=2,
+                              seed=1), kind)
+
+
 def assert_fails_closed(tmp_path, kind, mutate):
     """Save a model of ``kind``, mutate its payload, expect a load error."""
-    model = hand_model() if kind == "kvrl" else getattr(
-        fit_fusion(synth_scores(1, 60, 60), n_components=2, seed=1), kind)
+    model = hand_model() if kind == "kvrl" else fusion_model(kind)
     doc = saved_doc(model, tmp_path / "m.json")
     mutate(doc["payload"])
     with pytest.raises(ModelFormatError):
@@ -576,6 +601,86 @@ class TestModelFormat:
             load_model(write_doc(doc, tmp_path / "bad.json"))
 
 
+def reference_bytes(model):
+    """A model's file as built whole: ``json.dumps`` of its document, each
+    array as the base64 of its ``tobytes()``."""
+    def arr(a):
+        a = np.ascontiguousarray(a, dtype="<f8")
+        return {"shape": list(a.shape),
+                "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+    kind = {cls: k for k, cls in storage._KINDS.items()}[type(model)]
+    doc = {"format": "fcdbn-model", "version": 2, "kind": kind,
+           "payload": storage._to_doc(model, arr)}
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+def edge_array_model(classifier=True):
+    """A hand_model whose arrays include the values and layouts a chunked
+    encoder could get wrong. save_model does not validate, so they need not
+    form a loadable model."""
+    model = hand_model(classifier=classifier)
+    rng = np.random.default_rng(5)
+    w = model.stage1["face"].layers[0].W
+    w[0, :3], w[1, :2] = SPECIAL_VALUES[:3], SPECIAL_VALUES[3:]
+    # one chunk and one value more: 196,616 bytes, not a multiple of 3
+    model.stage2.layers[0].a = rng.normal(size=storage._CHUNK // 8 + 1)
+    model.stage2.layers[1].a = np.zeros((0, 3))
+    model.stage2.layers[1].b = rng.normal(size=(4, 5)).T  # not C-contiguous
+    model.stage1["not_t"].layers[0].b = rng.normal(size=16).astype(">f8")
+    return model
+
+
+class TestStreamingSave:
+    @pytest.mark.parametrize("chunk", [3, 48, storage._CHUNK])
+    @pytest.mark.parametrize("make", [
+        lambda: hand_model(),
+        lambda: hand_model(classifier=False),
+        lambda: hand_model(n_filters=0, gaussian=False),
+        edge_array_model,
+        lambda: edge_array_model(classifier=False),
+        lambda: fusion_model("plr"),
+        lambda: fusion_model("svm"),
+    ], ids=["kvrl-filtered-gaussian", "kvrl-no-classifier", "kvrl-plain",
+            "kvrl-edge-arrays", "kvrl-edge-arrays-no-classifier", "plr",
+            "svm"])
+    def test_file_equals_whole_text_dump(self, tmp_path, monkeypatch, make,
+                                         chunk):
+        model = make()
+        monkeypatch.setattr(storage, "_CHUNK", chunk)
+        save_model(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == reference_bytes(model)
+
+    def test_marker_lookalike_string_fails_before_writing(self, tmp_path,
+                                                          monkeypatch):
+        # a fixed nonce stands in for one a model string happens to equal
+        nonce = "ab" * 16
+        monkeypatch.setattr(storage.secrets, "token_hex",
+                            lambda n: nonce[:2 * n])
+        model = hand_model()
+        model.regions = ("face", f"{nonce}:0", "not_t")
+        path = tmp_path / "m.json"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="markers"):
+            save_model(model, path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_save_peak_memory_is_a_fraction_of_the_largest_array(
+            self, tmp_path):
+        model = hand_model()
+        big = np.random.default_rng(0).normal(size=(2048, 1024))  # 16 MiB
+        model.stage2.layers[0].W = big
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes / 2
+        assert (tmp_path / "m.json").read_bytes() == reference_bytes(model)
+
+
 def _doc_paths(node, prefix=()):
     """Every key / index path into a JSON document."""
     if isinstance(node, dict):
@@ -651,6 +756,47 @@ class TestAtomicWrite:
             atomic_write_bytes(path, b"new")
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_save_failing_in_the_encoder_after_an_array_leaves_old_file(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"old")
+        real, calls = storage._b64_chunks, []
+
+        def encoder(a):
+            calls.append(a.size)
+            if len(calls) == 2:
+                raise MemoryError("encoder failed")
+            return real(a)
+
+        monkeypatch.setattr(storage, "_b64_chunks", encoder)
+        with pytest.raises(MemoryError, match="encoder failed"):
+            save_model(hand_model(), path)
+        assert len(calls) == 2
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_save_failing_to_write_after_an_array_leaves_old_file(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"old")
+        written = []
+
+        class FullDisk(io.BufferedWriter):
+            # the first write after one whole array object fails
+            def write(self, chunk):
+                if b'"shape"' in b"".join(written):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(bytes(chunk))
+                return super().write(chunk)
+
+        monkeypatch.setattr(storage.os, "fdopen",
+                            lambda fd, mode: FullDisk(io.FileIO(fd, mode)))
+        with pytest.raises(OSError, match="No space left"):
+            save_model(hand_model(), path)
+        assert b'"f8": "' in b"".join(written)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_written_file_gets_the_default_mode(self, tmp_path):
         plain = tmp_path / "plain.bin"
