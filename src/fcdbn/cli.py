@@ -3,18 +3,22 @@ metrics.
 
 Exit codes: 0 success, 2 validation / usage error, 3 runtime error. Every
 artifact is written atomically, so error paths leave nothing partial. With
-the same config and seed every command produces byte-identical outputs;
-FCDBN_THREADS > 1 parallelizes fold evaluation without changing results
-(fold seeds are fixed as seed + fold index); a value that is not an integer
->= 1 is a usage error.
+the same config and seed every command produces byte-identical outputs.
+FCDBN_THREADS is the number of worker processes eval-kin trains its fold
+classifiers in: 1 (or unset) runs the folds in process, more runs them in
+forked workers, at most one per fold, without changing results (fold seeds
+are fixed as seed + fold index). Where the platform cannot fork, the folds
+run in process. A value that is not an integer >= 1 is a usage error.
 """
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -53,6 +57,9 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):  # a worker's error reaches the parent by pickle
+        return type(self), (str(self), self.code)
 
 
 def _fmt(x):
@@ -165,7 +172,8 @@ def _eval_fold(cfg, embeddings, fold_idx, train_pos, test_pos):
 
 
 def _thread_count():
-    """FCDBN_THREADS as a worker count: unset or empty means 1."""
+    """FCDBN_THREADS as a count of fold worker processes: unset or empty
+    means 1, which runs the folds in process."""
     raw = os.environ.get("FCDBN_THREADS", "")
     if not raw:
         return 1
@@ -202,9 +210,19 @@ def cmd_eval_kin(cfg):
                      for p in fold]
         jobs.append((fold_idx, train_pos, test_pos))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda j: _eval_fold(cfg, embeddings, *j), jobs))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        results = [_eval_fold(cfg, embeddings, *job) for job in jobs]
+    else:
+        # the heads are small numpy calls that hold the GIL, so they run in
+        # processes; fork inherits the loaded modules instead of importing
+        # them again. OpenBLAS's fork handlers keep its thread pool safe in
+        # the child (CPython 3.12+ still warns when a threaded process
+        # forks). Leaving the block joins every worker.
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_eval_fold, repeat(cfg), repeat(embeddings),
+                                    *zip(*jobs)))
 
     fold_rows, all_scores, all_truths, all_relations = [], [], [], []
     for fold_idx, (scores, truths, relations) in enumerate(results):

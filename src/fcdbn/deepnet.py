@@ -292,6 +292,17 @@ def _permutations(stream, count, n):
                       axis=1, kind="stable")
 
 
+def _momentum_step(params, velocities, grads, momentum, learning_rate):
+    """``v = momentum * v - learning_rate * g; p += v`` for each parameter,
+    computed in place: the same products and difference, so the same bits,
+    without temporaries. Overwrites ``grads``."""
+    for p, v, g in zip(params, velocities, grads):
+        v *= momentum
+        g *= learning_rate
+        v -= g
+        p += v
+
+
 def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0):
     """Backprop training of the kin/non-kin classifier.
 
@@ -318,8 +329,8 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
     mask_stream = stream.child(2)
     n = x.shape[0]
     chunk = max(1, _PERMUTATION_DRAWS // n)  # epochs whose orders are drawn at once
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # updated in place
+    velocities = [np.zeros_like(p) for p in params]
     history = []
     yy = y.reshape(-1, 1)
     for epoch in range(cfg.epochs):
@@ -333,16 +344,11 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
             out, cache = _forward(model, xb, mask_stream)
             losses.append(_bce(out[:, 0], yb[:, 0]))
             gw, gb = _backward(model, cache, (out - yb) / xb.shape[0])
-            for layer_idx in range(len(model.weights) - 1, -1, -1):
-                vel_w[layer_idx] = (cfg.momentum * vel_w[layer_idx]
-                                    - cfg.learning_rate * gw[layer_idx])
-                vel_b[layer_idx] = (cfg.momentum * vel_b[layer_idx]
-                                    - cfg.learning_rate * gb[layer_idx])
-                model.weights[layer_idx] += vel_w[layer_idx]
-                model.biases[layer_idx] += vel_b[layer_idx]
+            _momentum_step(params, velocities, gw + gb, cfg.momentum,
+                           cfg.learning_rate)
         epoch_loss = float(np.mean(losses))
         if not (math.isfinite(epoch_loss) and all(
-                np.isfinite(p).all() for p in model.weights + model.biases)):
+                np.isfinite(p).all() for p in params)):
             raise DivergenceError(epoch + 1)
         history.append(epoch_loss)
     return model, history

@@ -45,6 +45,9 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
         super().__init__(message or f"training diverged (NaN/Inf) at epoch {epoch}")
 
+    def __reduce__(self):  # a worker's error reaches the parent by pickle
+        return type(self), (self.epoch, str(self))
+
 
 @dataclass
 class TrainConfig:

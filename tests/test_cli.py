@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcdbn.cli
 import fcdbn.kvrl
-from fcdbn.cli import run_command
+from fcdbn.cli import CliError, run_command
 from fcdbn.config import ConfigError, RunConfig, config_from_dict
 from fcdbn.kvrl import encode_face, extract_regions
 from fcdbn.storage import load_model, load_pgm, read_manifest, save_model
@@ -50,6 +53,10 @@ JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
+
+
+def read_files(directory, names):
+    return {name: (directory / name).read_bytes() for name in names}
 
 
 def read_bytes_tree(root):
@@ -153,6 +160,12 @@ class TestCliBasics:
         assert run_command(["synth", "--config", str(tmp_path / "c.json")]) == 2
         assert "config error" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+    def test_cli_error_survives_pickle(self):
+        # a fold worker's error reaches eval-kin's process by pickle
+        back = pickle.loads(pickle.dumps(CliError("no folds", 3)))
+        assert type(back) is CliError
+        assert (str(back), back.code) == ("no folds", 3)
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -485,3 +498,81 @@ class TestReproducibility:
             monkeypatch.setenv("FCDBN_THREADS", threads)
             assert run_command(["eval-kin", "--config", str(cfg_path)]) == 2
             assert not (out / "folds.csv").exists()
+
+    EVAL_FILES = ("folds.csv", "relations.csv", "roc.csv")
+
+    def trained_run(self, tmp_path):
+        """A synthesized run with a trained model; returns a function that
+        writes an eval-kin config for it into its own output directory."""
+        out = tmp_path / "run"
+        cfg = dict(manifest=str(out / "manifest.csv"),
+                   images_dir=str(out / "images"),
+                   corpus_dir=str(out / "corpus"),
+                   model_in=str(out / "model.json"), families=8,
+                   corpus_families=3, epochs=1, classifier_epochs=20)
+        cfg_path = write_config(tmp_path / "c.json", output_dir=str(out), **cfg)
+        assert run_command(["synth", "--config", str(cfg_path)]) == 0
+        assert run_command(["train-kin", "--config", str(cfg_path)]) == 0
+
+        def eval_config(tag, **overrides):
+            return write_config(tmp_path / f"{tag}.json",
+                                output_dir=str(tmp_path / tag),
+                                **{**cfg, **overrides})
+
+        return eval_config
+
+    def test_fold_workers_capped_at_fold_count(self, tmp_path, monkeypatch):
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(fcdbn.cli, "ProcessPoolExecutor", InProcessPool)
+        eval_config = self.trained_run(tmp_path)
+        csvs = {}
+        for tag, threads, pools in (("one", "1", []), ("many", "64", [5]),
+                                    ("nofork", "64", [])):
+            built.clear()
+            monkeypatch.setenv("FCDBN_THREADS", threads)
+            if tag == "nofork":  # such a platform runs the folds in process
+                monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                    lambda: ["spawn"])
+            assert run_command(["eval-kin", "--config",
+                                str(eval_config(tag))]) == 0
+            assert built == pools
+            csvs[tag] = read_files(tmp_path / tag, self.EVAL_FILES)
+        assert csvs["many"] == csvs["one"] == csvs["nofork"]
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_failing_fold_fails_alike_in_every_worker_count(
+            self, tmp_path, monkeypatch, capfd):
+        eval_config = self.trained_run(tmp_path)
+        monkeypatch.setenv("FCDBN_THREADS", "2")
+        assert run_command(["eval-kin", "--config",
+                            str(eval_config("ok"))]) == 0
+        assert not multiprocessing.active_children()
+        # every fold's head diverges; workers print their RuntimeWarnings
+        # themselves, so only the error line is compared
+        last = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FCDBN_THREADS", threads)
+            config = eval_config(f"bad{threads}", classifier_learning_rate=1e300)
+            capfd.readouterr()
+            assert run_command(["eval-kin", "--config", str(config)]) == 3
+            last[threads] = capfd.readouterr().err.strip().splitlines()[-1]
+            assert not (tmp_path / f"bad{threads}" / "folds.csv").exists()
+            assert not multiprocessing.active_children()
+        assert last["1"] == last["2"]
+        assert last["1"].startswith(
+            "runtime error: DivergenceError: training diverged (NaN/Inf) at "
+            "epoch ")

@@ -249,6 +249,26 @@ class TestMlpTrain:
                              ref.weights + ref.biases):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.2, 0.5)])
+    def test_in_place_momentum_step_trains_the_reference_model(
+            self, monkeypatch, dropout):
+        def reference_step(params, velocities, grads, momentum, learning_rate):
+            # the update with temporaries: v = momentum * v - lr * g; p += v
+            for i, (p, g) in enumerate(zip(params, grads)):
+                velocities[i] = momentum * velocities[i] - learning_rate * g
+                p += velocities[i]
+
+        x, y = self.separable_set()
+        cfg = TrainConfig(learning_rate=0.5, epochs=30, batch_size=16,
+                          momentum=0.5, seed=3)
+        model, history = mlp_train(x, y, [2, 4, 3, 1], cfg, *dropout)
+        monkeypatch.setattr(fcdbn.deepnet, "_momentum_step", reference_step)
+        ref, ref_history = mlp_train(x, y, [2, 4, 3, 1], cfg, *dropout)
+        assert history == ref_history
+        for got, want in zip(model.weights + model.biases,
+                             ref.weights + ref.biases):
+            assert np.array_equal(got, want)
+
     def test_permutation_chunk_equals_successive_permutations(self):
         chunk = fcdbn.deepnet._permutations(RngStream(seed=4), 5, 11)
         stream = RngStream(seed=4)

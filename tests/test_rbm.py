@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -607,6 +608,14 @@ class TestCdTrain:
             with pytest.raises(DivergenceError) as err:
                 cd_train(layer, data, cfg)
         assert 1 <= err.value.epoch <= 15
+
+    @pytest.mark.parametrize("err", [DivergenceError(4),
+                                     DivergenceError(2, "layer 1: diverged")])
+    def test_divergence_error_survives_pickle(self, err):
+        # a fold worker's error reaches eval-kin's process by pickle
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert (str(back), back.epoch) == (str(err), err.epoch)
 
     @pytest.mark.parametrize("unit_kind", [GAUSSIAN, BERNOULLI])
     def test_one_epoch_descends_the_shared_objective(self, unit_kind):
