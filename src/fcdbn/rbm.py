@@ -294,7 +294,7 @@ def _aggregate_rows(X, layer):
     stack = X.reshape(X.shape[0], *layer.image_shape)
     total = conv2d_same(stack, layer.filters[0])
     for f in layer.filters[1:]:
-        total = total + conv2d_same(stack, f)
+        total += conv2d_same(stack, f)
     return total.reshape(X.shape)
 
 
@@ -333,13 +333,25 @@ def _contractive_terms(layer, V, phi):
     (value, dW, da, dz); _to_visible(layer, dz) is its gradient on V.
     """
     n = V.shape[0]
-    w2 = np.sum(layer.W ** 2, axis=0)  # (F,)
+    wbuf = layer.W ** 2  # the one W-sized temporary, reused below
+    w2 = np.sum(wbuf, axis=0)  # (F,)
     Vs = V / layer.sigma if layer.unit_kind == GAUSSIAN else V
-    s2 = (phi * (1.0 - phi)) ** 2
+    s2 = 1.0 - phi
+    s2 *= phi
+    np.square(s2, out=s2)
     value = float(np.mean(s2 @ w2))
     # d(value)/d(pre-activation): 2 s^2 (1 - 2 phi) w2, batch-averaged
-    dz = 2.0 * s2 * (1.0 - 2.0 * phi) * w2 / n
-    dW = Vs.T @ dz + 2.0 * layer.W * s2.sum(axis=0) / n
+    dz = 2.0 * s2
+    q = 2.0 * phi
+    dz *= np.subtract(1.0, q, out=q)
+    dz *= w2
+    dz /= n
+    # dW = Vs^T dz + 2 W colsum(s^2) / n, in that order
+    np.multiply(2.0, layer.W, out=wbuf)
+    wbuf *= s2.sum(axis=0)
+    wbuf /= n
+    dW = Vs.T @ dz
+    dW += wbuf
     return value, dW, dz.sum(axis=0), dz
 
 
@@ -417,7 +429,8 @@ def _regularized_terms(layer, X, V, phi, recon_dV):
     and recon_dV the reconstruction's gradient on V (read only for filtered
     layers). Returns (value, dW, da, filter_grads): value = alpha *
     contractive(V) + beta * sum_k ||f_k||^2; dW and da are its gradients
-    (zero when alpha is 0); filter_grads are the gradients of reconstruction
+    (the scalar 0.0 when alpha is 0: it adds and subtracts as a zero array
+    would); filter_grads are the gradients of reconstruction
     + regularizers, from one kernel-gradient call on recon_dV + alpha *
     dV_contractive, plus 2 beta f_k ([] for plain layers).
 
@@ -429,10 +442,12 @@ def _regularized_terms(layer, X, V, phi, recon_dV):
     chain drives every filter toward that degenerate point. The
     reconstruction anchor keeps the aggregate informative.
     """
-    value, dW, da = 0.0, np.zeros_like(layer.W), np.zeros_like(layer.a)
+    value, dW, da = 0.0, 0.0, 0.0
     if layer.alpha != 0.0:
-        pval, pW, pa, pz = _contractive_terms(layer, V, phi)
-        value, dW, da = layer.alpha * pval, layer.alpha * pW, layer.alpha * pa
+        pval, dW, da, pz = _contractive_terms(layer, V, phi)
+        value = layer.alpha * pval
+        dW *= layer.alpha
+        da *= layer.alpha
     if layer.n_filters == 0:
         return value, dW, da, []
     dV = recon_dV
@@ -479,24 +494,42 @@ def cd_gradients(layer, batch, stream, cd_steps=1):
 def _cd_terms(layer, V, phi, vhat, stream, cd_steps):
     """cd_gradients on a filter aggregate V whose up-down pass is (phi, vhat)."""
     n = V.shape[0]
-    scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
-    Vs = V / scale if scale is not None else V
+    gaussian = layer.unit_kind == GAUSSIAN
+    Vs = V / layer.sigma if gaussian else V
 
-    hs = (stream.uniform01(phi.size).reshape(phi.shape) < phi).astype(np.float64)
-    vk = V
+    hs = _sample(stream, phi)
     for _ in range(cd_steps):
         vk = visible_given_hidden(hs, layer)
         hk = hidden_given_visible(vk, layer)
-        hs = (stream.uniform01(hk.size).reshape(hk.shape) < hk).astype(np.float64)
-    vks = vk / scale if scale is not None else vk
+        hs = _sample(stream, hk)
+    vks = vk / layer.sigma if gaussian else vk
 
-    gW = (Vs.T @ phi - vks.T @ hk) / n
-    ga = (phi - hk).mean(axis=0)
-    if layer.unit_kind == GAUSSIAN:
-        gb = ((V - vk) / layer.sigma ** 2).mean(axis=0)
-    else:
-        gb = (V - vk).mean(axis=0)
-    return {"W": gW, "a": ga, "b": gb}, float(np.mean((vhat - V) ** 2))
+    # (Vs^T phi - vks^T hk) / n, mean(phi - hk) and mean of V - vk (over
+    # sigma^2 for Gaussian units), in place in the chain's own arrays
+    gW = Vs.T @ phi
+    gW -= vks.T @ hk
+    gW /= n
+    ga = np.subtract(phi, hk, out=hk).mean(axis=0)
+    np.subtract(V, vk, out=vk)
+    if gaussian:
+        vk /= layer.sigma ** 2
+    return ({"W": gW, "a": ga, "b": vk.mean(axis=0)},
+            float(np.mean((vhat - V) ** 2)))
+
+
+def _sample(stream, p):
+    """Binary states with P(1) = p, from one uniform draw per entry."""
+    u = stream.uniform01(p.size).reshape(p.shape)
+    return np.less(u, p, out=u)
+
+
+def _momentum_step(param, vel, grad, momentum, rate):
+    """``vel = momentum * vel + rate * grad; param += vel``, in place: the
+    same products and sum, so the same bits. Overwrites ``grad``."""
+    vel *= momentum
+    grad *= rate
+    vel += grad
+    param += vel
 
 
 def cd_train(layer, data, cfg):
@@ -505,6 +538,14 @@ def cd_train(layer, data, cfg):
     Returns (trained copy, per-epoch mean reconstruction error). The input
     layer is not mutated. Deterministic given cfg.seed; raises
     DivergenceError naming the epoch if any parameter goes non-finite.
+
+    Each batch steps vel = momentum * vel + rate * (CD step - regularizer
+    gradient), then param += vel, for W, a and b (b has no regularizer),
+    and likewise for each filter along its clipped, damped descent
+    direction. Gradients and steps are built in place, with the same
+    operations in the same order as those expressions, so the bits are
+    theirs, and no W-sized array is made for the regularizer when alpha
+    is 0.
     """
     cfg.validate()
     layer.validate()
@@ -531,22 +572,21 @@ def cd_train(layer, data, cfg):
                         if out.n_filters else None)
             _, rW, ra, rfilters = _regularized_terms(out, batch, V, phi, recon_dV)
             errs.append(recon)
-            vel["W"] = cfg.momentum * vel["W"] + cfg.learning_rate * (step["W"] - rW)
-            vel["a"] = cfg.momentum * vel["a"] + cfg.learning_rate * (step["a"] - ra)
-            vel["b"] = cfg.momentum * vel["b"] + cfg.learning_rate * step["b"]
-            out.W += vel["W"]
-            out.a += vel["a"]
-            out.b += vel["b"]
+            if out.alpha != 0.0:  # else rW and ra are 0.0, and x - 0.0 is x
+                step["W"] -= rW
+                step["a"] -= ra
+            for name in ("W", "a", "b"):
+                _momentum_step(getattr(out, name), vel[name], step[name],
+                               cfg.momentum, cfg.learning_rate)
             # bounded filter steps: norm-clip each descent direction and damp
             # the rate so the filter/weight feedback loop cannot run away
             filter_lr = cfg.learning_rate / FILTER_RATE_DAMPING
-            for k, g in enumerate(rfilters):
+            for f, v, g in zip(out.filters, vel["filters"], rfilters):
                 g = -g
                 norm = float(np.linalg.norm(g))
                 if norm > FILTER_GRAD_CLIP:
-                    g = g * (FILTER_GRAD_CLIP / norm)
-                vel["filters"][k] = cfg.momentum * vel["filters"][k] + filter_lr * g
-                out.filters[k] += vel["filters"][k]
+                    g *= FILTER_GRAD_CLIP / norm
+                _momentum_step(f, v, g, cfg.momentum, filter_lr)
         history.append(float(np.mean(errs)))
         params = [out.W, out.a, out.b] + out.filters
         if not all(np.all(np.isfinite(p)) for p in params):

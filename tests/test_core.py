@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fcdbn.core as core
 from fcdbn.core import (
     RngStream,
     conv2d_same,
@@ -84,6 +87,64 @@ class TestConv2dSame:
                 assert abs(grad[p, q] - fd) < 1e-6
 
 
+def conv_per_tap_reference(image, kernel):
+    """conv2d_same as a zero-padded copy plus one shifted product per tap,
+    each added to a zero-started total in tap order."""
+    image = np.asarray(image, dtype=np.float64)
+    stack = image.reshape(-1, *image.shape[-2:])
+    n, h, w = stack.shape
+    kr, kc = kernel.shape
+    cp, cq = kr // 2, kc // 2
+    padded = np.zeros((n, h + 2 * cp, w + 2 * cq))
+    padded[:, cp:cp + h, cq:cq + w] = stack
+    out = np.zeros((n, h, w))
+    for p in range(kr):
+        for q in range(kc):
+            out += kernel[p, q] * padded[:, 2 * cp - p:2 * cp - p + h,
+                                         2 * cq - q:2 * cq - q + w]
+    return out.reshape(image.shape)
+
+
+class TestConv2dReference:
+    """Contiguous tap passes give the per-tap sum's bits, specials included."""
+
+    @staticmethod
+    def hostile_stack(n, seed):
+        """Every third image has +-inf, NaN and -0.0 pixels at a corner, an
+        edge and inside; image 1 is all -0.0, so its sums are signed zeros."""
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(n, 7, 9))
+        specials = {(0, 0): np.inf, (6, 8): -np.inf, (3, 4): np.nan,
+                    (0, 5): -0.0, (6, 0): -0.0}
+        for img in range(0, n, 3):
+            for (r, c), value in specials.items():
+                stack[img, r, c] = value
+        if n > 1:
+            stack[1] = -0.0
+        return stack
+
+    @pytest.mark.parametrize("kernel_shape", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_stack_equals_the_per_tap_sum(self, kernel_shape, n):
+        stack = self.hostile_stack(n, seed=n)
+        kernel = np.random.default_rng(7).normal(size=kernel_shape)
+        kernel[0, 0] = -0.0
+        with np.errstate(invalid="ignore"):
+            got = conv2d_same(stack, kernel)
+            want = conv_per_tap_reference(stack, kernel)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_2d_image_equals_the_per_tap_sum(self):
+        image = self.hostile_stack(4, seed=5).reshape(28, 9)
+        kernel = np.random.default_rng(8).normal(size=(3, 5))
+        with np.errstate(invalid="ignore"):
+            got = conv2d_same(image, kernel)
+            want = conv_per_tap_reference(image, kernel)
+        assert got.shape == (28, 9)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestConv2dStacks:
     """(N, h, w) stacks must give exactly what a per-image loop gives."""
 
@@ -159,6 +220,167 @@ class TestSigmoid:
         x = np.linspace(-10, 10, 201)
         out = sigmoid(x)
         assert np.all(np.diff(out) > 0)
+
+
+def sigmoid_reference(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    return np.minimum(out, 1.0 - 2.0 ** -53)
+
+
+class TestSigmoidInPlace:
+    def test_matches_the_formula_and_leaves_its_input(self):
+        x = np.array([[np.nan, 0.0, -0.0, 1e9, -1e9, 3.0],
+                      [500.0, -500.0, 600.0, -36.5, 1e-300, 37.0]])
+        before = x.copy()
+        got = sigmoid(x)
+        assert got.tobytes() == sigmoid_reference(x).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, 3, -2.5, np.float64(7.0), np.array(1.5)])
+    def test_scalars_keep_their_type_and_value(self, x):
+        got, want = sigmoid(x), sigmoid_reference(x)
+        assert type(got) is type(want) is np.float64
+        assert got == want
+
+
+# --- the whole-array RNG formula, kept as the reference --------------------
+
+_MASK = (1 << 64) - 1
+
+
+def reference_splitmix(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_words(seed, counter, n):
+    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    state = np.uint64(seed & _MASK) + idx * np.uint64(0x9E3779B97F4A7C15)
+    return reference_splitmix(state)
+
+
+def reference_uniform01(seed, counter, n):
+    words = reference_words(seed, counter, n)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def reference_gaussian(seed, counter, n, mu=0.0, sigma=1.0):
+    words = reference_words(seed, counter, 2 * n)
+    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return mu + sigma * z
+
+
+def reference_child_seed(seed, index):
+    state = ((seed & _MASK) * 0xBF58476D1CE4E5B9
+             + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
+    return int(reference_splitmix(np.array([state], dtype=np.uint64))[0])
+
+
+# name: (words per value, stream draw, reference draw)
+DRAWS = {
+    "uniform01": (1, lambda s, n: s.uniform01(n), reference_uniform01),
+    "gaussian": (2, lambda s, n: s.gaussian(n), reference_gaussian),
+    "gaussian(mu, sigma)": (
+        2, lambda s, n: s.gaussian(n, mu=-1.5, sigma=0.25),
+        lambda seed, c, n: reference_gaussian(seed, c, n, mu=-1.5, sigma=0.25)),
+    "bernoulli": (
+        1, lambda s, n: s.bernoulli(n, 0.3),
+        lambda seed, c, n: (reference_uniform01(seed, c, n) < 0.3).astype(np.float64)),
+    "permutation": (
+        1, lambda s, n: s.permutation(n),
+        lambda seed, c, n: np.argsort(reference_uniform01(seed, c, n), kind="stable")),
+}
+
+
+class TestRngStreamReference:
+    """Blocked, in-place draws give the whole-array formula's bytes."""
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 5])
+    @pytest.mark.parametrize("counter", [0, 17, 2 ** 40])
+    def test_draws_equal_the_whole_array_formula(self, name, seed, counter):
+        words, draw, reference = DRAWS[name]
+        block = core._BLOCK_WORDS // words  # values a block
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5, 1_000_003):
+            stream = RngStream(seed=seed, counter=counter)
+            got = draw(stream, n)
+            want = reference(seed, counter, n)
+            assert got.dtype == want.dtype and got.shape == (n,)
+            assert got.tobytes() == want.tobytes(), n
+            assert stream.counter == counter + words * n
+
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 5])
+    def test_child_seeds_equal_the_formula(self, seed):
+        for index in (0, 1, 17, 2 ** 40):
+            child = RngStream(seed=seed, counter=17).child(index)
+            assert (child.seed, child.counter) == (reference_child_seed(seed, index), 0)
+
+    def test_golden_gaussians_pin_box_muller(self):
+        # exact bytes of log and cos are not portable across numpy builds
+        got = RngStream(seed=0).gaussian(3)
+        expected = [-0.452757740217458, 2.650605812079669, -0.9886041246243269]
+        assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+
+    def test_gaussian_peak_memory_is_about_its_output(self):
+        # 8 MiB of output plus two small block buffers; the whole-array
+        # formula peaked at about 64 MiB
+        tracemalloc.start()
+        try:
+            RngStream(seed=1).gaussian(2 ** 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+
+class TestRngStreamArguments:
+    """Bad arguments raise ValueError and leave the counter where it was."""
+
+    @staticmethod
+    def assert_rejected(draw, counter=5):
+        stream = RngStream(seed=1, counter=counter)
+        with pytest.raises(ValueError):
+            draw(stream)
+        assert stream.counter == counter
+
+    @pytest.mark.parametrize("name", ["uniform01", "gaussian", "permutation"])
+    def test_negative_count_rejected(self, name):
+        self.assert_rejected(lambda s: getattr(s, name)(-3))
+        self.assert_rejected(lambda s: s.bernoulli(-1, 0.5))
+
+    @pytest.mark.parametrize("name", ["uniform01", "gaussian", "permutation"])
+    def test_fractional_count_rejected(self, name):
+        self.assert_rejected(lambda s: getattr(s, name)(2.5))
+        self.assert_rejected(lambda s: s.bernoulli(np.float64(3.0), 0.5))
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, np.nan), (np.inf, 1.0),
+                                           (np.nan, 1.0), (0.0, np.inf),
+                                           (0.0, -1.0)])
+    def test_non_finite_mu_or_sigma_rejected(self, mu, sigma):
+        self.assert_rejected(lambda s: s.gaussian(3, mu=mu, sigma=sigma))
+
+    def test_draw_past_the_last_counter_rejected(self):
+        last = 2 ** 64 - 1
+        self.assert_rejected(lambda s: s.uniform01(4), counter=last - 3)
+        self.assert_rejected(lambda s: s.gaussian(2), counter=last - 3)
+        self.assert_rejected(lambda s: s.uniform01(0), counter=last + 1)
+        self.assert_rejected(lambda s: s.uniform01(0), counter=-1)
+        stream = RngStream(seed=1, counter=last - 3)
+        assert stream.uniform01(3).shape == (3,)
+        assert stream.counter == last
+        assert stream.uniform01(0).shape == (0,)
+        with pytest.raises(ValueError):
+            stream.uniform01(1)
+        assert stream.counter == last
+
+    def test_numpy_integer_counts_are_accepted(self):
+        stream = RngStream(seed=1)
+        assert stream.gaussian(np.int64(3)).shape == (3,)
+        assert stream.counter == 6 and type(stream.counter) is int
 
 
 class TestRngStream:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import fcdbn.rbm as rbm_module
 from fcdbn.core import RngStream, conv2d_same, conv2d_same_kernel_grad
 from fcdbn.rbm import (
     BERNOULLI,
@@ -686,3 +687,87 @@ class TestCdTrain:
         assert history[-1] < history[0]
         assert trained.n_filters == 2
         assert not np.array_equal(trained.filters[0], layer.filters[0])
+
+    @pytest.mark.parametrize("unit_kind, n_filters, alpha", [
+        (BERNOULLI, 0, 0.0), (BERNOULLI, 0, 2.0), (GAUSSIAN, 0, 0.0),
+        (GAUSSIAN, 0, 2.0), (GAUSSIAN, 2, 0.0), (GAUSSIAN, 2, 2.0),
+        (BERNOULLI, 2, 2.0),
+    ])
+    def test_in_place_steps_train_the_reference_model(
+            self, monkeypatch, unit_kind, n_filters, alpha):
+        # the gradient and momentum lines with temporaries, and W-sized
+        # zero regularizer gradients when alpha is 0
+        def reference_cd_terms(layer, V, phi, vhat, stream, cd_steps):
+            n = V.shape[0]
+            scale = layer.sigma if layer.unit_kind == GAUSSIAN else None
+            Vs = V / scale if scale is not None else V
+            hs = (stream.uniform01(phi.size).reshape(phi.shape)
+                  < phi).astype(np.float64)
+            for _ in range(cd_steps):
+                vk = visible_given_hidden(hs, layer)
+                hk = hidden_given_visible(vk, layer)
+                hs = (stream.uniform01(hk.size).reshape(hk.shape)
+                      < hk).astype(np.float64)
+            vks = vk / scale if scale is not None else vk
+            gW = (Vs.T @ phi - vks.T @ hk) / n
+            ga = (phi - hk).mean(axis=0)
+            if layer.unit_kind == GAUSSIAN:
+                gb = ((V - vk) / layer.sigma ** 2).mean(axis=0)
+            else:
+                gb = (V - vk).mean(axis=0)
+            return {"W": gW, "a": ga, "b": gb}, float(np.mean((vhat - V) ** 2))
+
+        def reference_contractive_terms(layer, V, phi):
+            n = V.shape[0]
+            w2 = np.sum(layer.W ** 2, axis=0)
+            Vs = V / layer.sigma if layer.unit_kind == GAUSSIAN else V
+            s2 = (phi * (1.0 - phi)) ** 2
+            value = float(np.mean(s2 @ w2))
+            dz = 2.0 * s2 * (1.0 - 2.0 * phi) * w2 / n
+            dW = Vs.T @ dz + 2.0 * layer.W * s2.sum(axis=0) / n
+            return value, dW, dz.sum(axis=0), dz
+
+        def reference_regularized_terms(layer, X, V, phi, recon_dV):
+            value, dW, da = 0.0, np.zeros_like(layer.W), np.zeros_like(layer.a)
+            if layer.alpha != 0.0:
+                pval, pW, pa, pz = rbm_module._contractive_terms(layer, V, phi)
+                value, dW, da = (layer.alpha * pval, layer.alpha * pW,
+                                 layer.alpha * pa)
+            if layer.n_filters == 0:
+                return value, dW, da, []
+            dV = recon_dV
+            if layer.alpha != 0.0:
+                dV = dV + layer.alpha * rbm_module._to_visible(layer, pz)
+            fgrads = rbm_module._filter_grads_from_dv(X, dV, layer)
+            if layer.beta != 0.0:
+                value += layer.beta * sum(float(np.sum(f ** 2))
+                                          for f in layer.filters)
+                fgrads = [g + 2.0 * layer.beta * f
+                          for g, f in zip(fgrads, layer.filters)]
+            return value, dW, da, fgrads
+
+        def reference_step(param, vel, grad, momentum, rate):
+            vel[...] = momentum * vel + rate * grad
+            param += vel
+
+        stream = RngStream(seed=67)
+        layer = init_layer(16, 5, stream, unit_kind=unit_kind,
+                           n_filters=n_filters, alpha=alpha, beta=0.01,
+                           image_shape=(4, 4))
+        layer.W *= 40.0  # weights of 0.4: the contractive terms' last bits show
+        data = stream.bernoulli(20 * 16, 0.5).reshape(20, 16)
+        # batches of 6 and 2 rows: dividing by 6 rounds, so the order of
+        # the batch-mean steps shows
+        cfg = TrainConfig(learning_rate=0.1, epochs=4, batch_size=6,
+                          cd_steps=2, momentum=0.5, seed=5)
+        trained, history = cd_train(layer, data, cfg)
+        for name, reference in (("_cd_terms", reference_cd_terms),
+                                ("_contractive_terms", reference_contractive_terms),
+                                ("_regularized_terms", reference_regularized_terms),
+                                ("_momentum_step", reference_step)):
+            monkeypatch.setattr(rbm_module, name, reference)
+        want, want_history = cd_train(layer, data, cfg)
+        assert history == want_history
+        for got, ref in zip([trained.W, trained.a, trained.b] + trained.filters,
+                            [want.W, want.a, want.b] + want.filters):
+            assert np.array_equal(got, ref)
