@@ -35,6 +35,18 @@ def sigmoid(x):
     return out if out.ndim else out[()]
 
 
+def momentum_step(params, velocities, grads, momentum, rate):
+    """``v = momentum * v + rate * g; p += v`` for each parameter, in place
+    with the expression's bits; overwrites ``grads``. Descent passes rate =
+    -learning_rate: v + (-x) is v - x in IEEE arithmetic, zeros' signs too.
+    """
+    for p, v, g in zip(params, velocities, grads):
+        v *= momentum
+        g *= rate
+        v += g
+        p += v
+
+
 def scalar_fits(kind, value):
     """Whether a JSON scalar fits type ``kind``: bool is never a number, and
     a float field also takes an int in float range."""
@@ -145,8 +157,9 @@ def conv2d_same_kernel_grad(image, upstream, kernel_shape):
 # (two xor-shift-multiply rounds), giving one 64-bit word per counter value.
 # uniform01 maps the top 53 bits to [0, 1); gaussian consumes two words per
 # value via Box-Muller with u1 mapped to (0, 1]; bernoulli consumes one word
-# per value. Counter advances: uniform01/bernoulli by n, gaussian by 2n, and
-# the last word's counter may not pass 2**64 - 1.
+# per value. Counter advances: uniform01/bernoulli/permutation(n) by n,
+# gaussian by 2n, permutation(n, rows) by rows * n, and the last word's
+# counter may not pass 2**64 - 1.
 #
 # Words are made _BLOCK_WORDS at a time (4,096 gaussian or 8,192 uniform
 # values), each step in place in two reused 64 KiB buffers, and the values
@@ -185,6 +198,17 @@ def _splitmix(z, t):
     z ^= t
 
 
+def _count(n, what="draw count"):
+    """n as an int >= 0; raises ValueError naming ``what`` otherwise."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {n}")
+    return n
+
+
 @dataclass
 class RngStream:
     """Counter-based random stream; single-owner per logical task."""
@@ -197,15 +221,8 @@ class RngStream:
         counter past it; returns (n, first counter). Raises ValueError, with
         the counter unmoved, unless n is an int >= 0 and every word's counter
         fits in 64 bits."""
-        try:
-            n = operator.index(n)
-            first = operator.index(self.counter)
-        except TypeError:
-            raise ValueError(f"draw count and counter must be integers, got "
-                             f"{n!r} and {self.counter!r}") from None
-        if n < 0:
-            raise ValueError(f"draw count must be >= 0, got {n}")
-        if not 0 <= first <= _MASK64 - per_draw * n:
+        n, first = _count(n), _count(self.counter, "counter")
+        if first > _MASK64 - per_draw * n:
             raise ValueError(f"counter {first} + {per_draw * n} words "
                              f"passes 2**64 - 1")
         self.counter = first + per_draw * n
@@ -283,9 +300,16 @@ class RngStream:
             np.copyto(o, o < p)
         return out
 
-    def permutation(self, n):
-        """Deterministic random permutation of range(n); advances by n."""
-        return np.argsort(self.uniform01(n), kind="stable")
+    def permutation(self, n, rows=None):
+        """Deterministic random permutation of range(n); advances by n. With
+        ``rows``, row i of a (rows, n) array is the i-th of that many
+        successive permutation(n) results, from one uniform01(rows * n) draw
+        argsorted stably per row."""
+        if rows is None:
+            return np.argsort(self.uniform01(n), kind="stable")
+        n, rows = _count(n), _count(rows)
+        u = self.uniform01(rows * n).reshape(rows, n)
+        return np.argsort(u, axis=1, kind="stable")
 
     def child(self, index):
         """Independent substream derived from (seed, index)."""

@@ -10,6 +10,9 @@ The classifier has one forward pass, ``_forward``, and one backward pass,
 ``_backward``. Inference (``dropout_forward``, ``mlp_predict``), the exact
 loss gradients (``mlp_loss_grads``) and training (``mlp_train``) all run
 them, so the backprop that trains is the backprop the gradient checks test.
+Training steps with the momentum update ``core.momentum_step`` at rate
+-learning_rate, the one ``rbm.cd_train`` uses, and draws each epoch's
+sample order with ``RngStream.permutation``.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, sigmoid
+from .core import RngStream, momentum_step, sigmoid
 from .rbm import (
     BERNOULLI,
     GAUSSIAN,
@@ -31,7 +34,8 @@ from .rbm import (
 )
 
 # Uniform draws per mlp_train permutation chunk: epochs draw their sample
-# orders together, at most this many values (and their argsort) at a time.
+# orders together, one RngStream.permutation(n, rows) call of at most this
+# many values (and their argsort) at a time.
 # 800 orders of 480 rows took 26 ms in chunks of 2**13 draws, against 35 ms
 # one epoch at a time and 28 ms in chunks of 2**16, whose temporaries also
 # raised mlp_train's traced peak from 2.6 MB to 4.8 MB on 864 rows.
@@ -282,27 +286,6 @@ def mlp_loss_grads(model, x, y):
     return loss, {"weights": gw, "biases": gb}
 
 
-def _permutations(stream, count, n):
-    """``count`` successive ``stream.permutation(n)`` results, one per row.
-
-    The draws are counter-based, so one uniform01 call of count * n values
-    followed by a row-wise stable argsort gives the same permutations.
-    """
-    return np.argsort(stream.uniform01(count * n).reshape(count, n),
-                      axis=1, kind="stable")
-
-
-def _momentum_step(params, velocities, grads, momentum, learning_rate):
-    """``v = momentum * v - learning_rate * g; p += v`` for each parameter,
-    computed in place: the same products and difference, so the same bits,
-    without temporaries. Overwrites ``grads``."""
-    for p, v, g in zip(params, velocities, grads):
-        v *= momentum
-        g *= learning_rate
-        v -= g
-        p += v
-
-
 def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0):
     """Backprop training of the kin/non-kin classifier.
 
@@ -335,7 +318,7 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
     yy = y.reshape(-1, 1)
     for epoch in range(cfg.epochs):
         if epoch % chunk == 0:
-            orders = _permutations(sample_stream, min(chunk, cfg.epochs - epoch), n)
+            orders = sample_stream.permutation(n, min(chunk, cfg.epochs - epoch))
         order = orders[epoch % chunk]
         losses = []
         for start in range(0, n, cfg.batch_size):
@@ -344,8 +327,8 @@ def mlp_train(features, labels, arch, cfg, dropout_input=0.0, dropout_hidden=0.0
             out, cache = _forward(model, xb, mask_stream)
             losses.append(_bce(out[:, 0], yb[:, 0]))
             gw, gb = _backward(model, cache, (out - yb) / xb.shape[0])
-            _momentum_step(params, velocities, gw + gb, cfg.momentum,
-                           cfg.learning_rate)
+            momentum_step(params, velocities, gw + gb, cfg.momentum,
+                          -cfg.learning_rate)
         epoch_loss = float(np.mean(losses))
         if not (math.isfinite(epoch_loss) and all(
                 np.isfinite(p).all() for p in params)):

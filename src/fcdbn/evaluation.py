@@ -136,12 +136,15 @@ def roc(scores, labels):
 
     Returns curve points starting at (0, 0), trapezoidal AUC, and the best
     TPR achieved at FPR <= each of ``TPR_AT_FPR_TARGETS``. Raises ValueError
-    on a NaN or infinite score, which has no place in the ranking.
+    on a NaN or infinite score, which has no place in the ranking, and
+    unless ``labels`` has the scores' shape and holds only 0 and 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("roc needs finite scores")
     labels = np.asarray(labels)
+    if labels.shape != scores.shape or not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("roc needs one label, 0 or 1, per score")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = int(labels.size - n_pos)

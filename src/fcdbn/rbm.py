@@ -7,7 +7,9 @@ deterministic up-down pass, phi = p(h | V) and vhat = E[v | phi], that the
 CD, contractive and reconstruction terms share. Training is CD-k for W, a
 and b plus one regularizer and filter step, which is exactly -fc_loss_grads
 less the reconstruction W, a and b terms: both come from _regularized_terms,
-so training descends the gradients the finite-difference checks test.
+so training descends the gradients the finite-difference checks test. Every
+parameter moves by ``core.momentum_step``, the update the pair classifier
+uses too.
 
 Sign convention for Gaussian visibles: the quadratic term enters the energy
 with a positive sign, + sum_i (v_i - b_i)^2 / (2 sigma_i^2), so the energy
@@ -25,6 +27,7 @@ from .core import (
     check_kernel,
     conv2d_same,
     conv2d_same_kernel_grad,
+    momentum_step,
     sigmoid,
 )
 
@@ -191,10 +194,10 @@ def _as_batch(v, width, what):
     return v, squeeze
 
 
-def energy_bernoulli(v, h, layer):
-    """E(v, h) = -v^T W h - b^T v - a^T h for binary units."""
-    if layer.unit_kind != BERNOULLI:
-        raise ValueError("energy_bernoulli needs a bernoulli layer")
+def _energy_args(v, h, layer, kind):
+    """v and h as float arrays for a ``kind`` layer's energy, or ValueError."""
+    if layer.unit_kind != kind:
+        raise ValueError(f"energy_{kind} needs a {kind} layer")
     v = np.asarray(v, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if v.shape != (layer.n_visible,) or h.shape != (layer.n_hidden,):
@@ -202,6 +205,12 @@ def energy_bernoulli(v, h, layer):
             f"shape mismatch: v {v.shape}, h {h.shape}, "
             f"layer {layer.n_visible}x{layer.n_hidden}"
         )
+    return v, h
+
+
+def energy_bernoulli(v, h, layer):
+    """E(v, h) = -v^T W h - b^T v - a^T h for binary units."""
+    v, h = _energy_args(v, h, layer, BERNOULLI)
     return float(-v @ layer.W @ h - layer.b @ v - layer.a @ h)
 
 
@@ -211,16 +220,8 @@ def energy_gaussian(v, h, layer):
     E(v, h) = -sum_ij (v_i / sigma_i) W_ij h_j
               + sum_i (v_i - b_i)^2 / (2 sigma_i^2) - a^T h
     """
-    if layer.unit_kind != GAUSSIAN:
-        raise ValueError("energy_gaussian needs a gaussian layer")
+    v, h = _energy_args(v, h, layer, GAUSSIAN)
     _check_sigma(layer)
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if v.shape != (layer.n_visible,) or h.shape != (layer.n_hidden,):
-        raise ValueError(
-            f"shape mismatch: v {v.shape}, h {h.shape}, "
-            f"layer {layer.n_visible}x{layer.n_hidden}"
-        )
     quad = np.sum((v - layer.b) ** 2 / (2.0 * layer.sigma ** 2))
     return float(-(v / layer.sigma) @ layer.W @ h + quad - layer.a @ h)
 
@@ -264,22 +265,18 @@ def visible_given_hidden(h, layer):
     return out[0] if squeeze else out
 
 
-def _check_image(image, layer):
+def apply_filters(image, layer):
+    """Aggregated visible: flatten(sum_k conv2d_same(image, f_k)); raises
+    ValueError unless the layer has filters, passes ``layer.validate()`` and
+    takes the image's shape."""
     if layer.n_filters == 0:
         raise ValueError("layer has no filters")
-    if layer.image_shape is None:
-        raise ValueError("filtered layers need image_shape")
+    layer.validate()
     image = np.asarray(image, dtype=np.float64)
     if image.shape != tuple(layer.image_shape):
         raise ValueError(
             f"image shape {image.shape} != layer image_shape {layer.image_shape}"
         )
-    return image
-
-
-def apply_filters(image, layer):
-    """Aggregated visible: flatten(sum_k conv2d_same(image, f_k))."""
-    image = _check_image(image, layer)
     return _aggregate_rows(image.reshape(1, -1), layer)[0]
 
 
@@ -523,15 +520,6 @@ def _sample(stream, p):
     return np.less(u, p, out=u)
 
 
-def _momentum_step(param, vel, grad, momentum, rate):
-    """``vel = momentum * vel + rate * grad; param += vel``, in place: the
-    same products and sum, so the same bits. Overwrites ``grad``."""
-    vel *= momentum
-    grad *= rate
-    vel += grad
-    param += vel
-
-
 def cd_train(layer, data, cfg):
     """Contrastive-divergence training of one layer.
 
@@ -539,13 +527,13 @@ def cd_train(layer, data, cfg):
     layer is not mutated. Deterministic given cfg.seed; raises
     DivergenceError naming the epoch if any parameter goes non-finite.
 
-    Each batch steps vel = momentum * vel + rate * (CD step - regularizer
-    gradient), then param += vel, for W, a and b (b has no regularizer),
-    and likewise for each filter along its clipped, damped descent
-    direction. Gradients and steps are built in place, with the same
-    operations in the same order as those expressions, so the bits are
-    theirs, and no W-sized array is made for the regularizer when alpha
-    is 0.
+    Each batch takes one ``core.momentum_step`` for W, a and b along CD
+    step - regularizer gradient (b has no regularizer) at the learning rate,
+    and one for the filters along their norm-clipped gradients at the damped
+    descent rate -learning_rate / FILTER_RATE_DAMPING. Gradients are built
+    in place, with the same operations in the same order as those
+    expressions, so the bits are theirs, and no W-sized array is made for
+    the regularizer when alpha is 0.
     """
     cfg.validate()
     layer.validate()
@@ -554,13 +542,14 @@ def cd_train(layer, data, cfg):
         raise ValueError("cd_train: empty data")
     out = layer.copy()
     stream = RngStream(seed=cfg.seed)
-    order = stream.permutation(data.shape[0])
-    data = data[order]
+    data = data[stream.permutation(data.shape[0])]
     batches = [data[i:i + cfg.batch_size]
                for i in range(0, data.shape[0], cfg.batch_size)]
-    vel = {"W": np.zeros_like(out.W), "a": np.zeros_like(out.a),
-           "b": np.zeros_like(out.b),
-           "filters": [np.zeros_like(f) for f in out.filters]}
+    params = [out.W, out.a, out.b] + out.filters  # stepped in place
+    vel = [np.zeros_like(p) for p in params]
+    # bounded filter steps: norm-clipped gradients at a damped rate, so the
+    # filter/weight feedback loop cannot run away
+    filter_rate = -cfg.learning_rate / FILTER_RATE_DAMPING
     history = []
     for epoch in range(cfg.epochs):
         errs = []
@@ -575,20 +564,15 @@ def cd_train(layer, data, cfg):
             if out.alpha != 0.0:  # else rW and ra are 0.0, and x - 0.0 is x
                 step["W"] -= rW
                 step["a"] -= ra
-            for name in ("W", "a", "b"):
-                _momentum_step(getattr(out, name), vel[name], step[name],
-                               cfg.momentum, cfg.learning_rate)
-            # bounded filter steps: norm-clip each descent direction and damp
-            # the rate so the filter/weight feedback loop cannot run away
-            filter_lr = cfg.learning_rate / FILTER_RATE_DAMPING
-            for f, v, g in zip(out.filters, vel["filters"], rfilters):
-                g = -g
+            momentum_step(params[:3], vel[:3], (step["W"], step["a"], step["b"]),
+                          cfg.momentum, cfg.learning_rate)
+            for g in rfilters:
                 norm = float(np.linalg.norm(g))
                 if norm > FILTER_GRAD_CLIP:
                     g *= FILTER_GRAD_CLIP / norm
-                _momentum_step(f, v, g, cfg.momentum, filter_lr)
+            momentum_step(params[3:], vel[3:], rfilters, cfg.momentum,
+                          filter_rate)
         history.append(float(np.mean(errs)))
-        params = [out.W, out.a, out.b] + out.filters
         if not all(np.all(np.isfinite(p)) for p in params):
             raise DivergenceError(epoch + 1)
     return out, history

@@ -20,6 +20,7 @@ import base64
 import binascii
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -400,11 +401,13 @@ class KinPair:
 
 
 def write_manifest(path, pairs):
-    rows = [",".join(MANIFEST_COLUMNS)]
-    for p in pairs:
-        rows.append(",".join((p.path_a, p.path_b, p.label, p.relation,
-                              p.subject_a, p.subject_b)))
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    """Write pairs atomically as CSV, quoting fields as read_manifest reads them."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(MANIFEST_COLUMNS)
+    writer.writerows([getattr(p, name) for name in MANIFEST_COLUMNS]
+                     for p in pairs)
+    atomic_write_text(path, text.getvalue())
 
 
 def read_manifest(path):

@@ -8,6 +8,7 @@ from fcdbn.core import (
     RngStream,
     conv2d_same,
     conv2d_same_kernel_grad,
+    momentum_step,
     sigmoid,
 )
 
@@ -249,6 +250,45 @@ class TestSigmoidInPlace:
 _MASK = (1 << 64) - 1
 
 
+class TestMomentumStep:
+    # signed zeros, subnormals, a value whose rate product rounds to zero and
+    # one whose product overflows: the in-place step must not touch a bit
+    EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      -1e-310, 1.0, -3.5, 1e-300, 1.7e308])
+
+    def arrays(self, seed):
+        stream = RngStream(seed=seed)
+        edges = self.EDGES
+        grid = np.array(np.meshgrid(edges, edges)).reshape(2, -1)
+        extra = stream.gaussian(2 * 64).reshape(2, 64)
+        v, g = np.concatenate([grid, extra], axis=1)
+        return v, g, stream.gaussian(v.size)
+
+    @pytest.mark.parametrize("lr", [0.0, 0.05, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
+    def test_descent_equals_the_expression_bit_for_bit(self, lr, momentum):
+        v, g, p = self.arrays(seed=71)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_v = momentum * v - lr * g
+            want_p = p + want_v
+            vel, params = v.copy(), p.copy()
+            momentum_step([params], [vel], [g.copy()], momentum, -lr)
+        assert vel.tobytes() == want_v.tobytes()
+        assert params.tobytes() == want_p.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, -0.0, 0.1, -0.1])
+    def test_ascent_equals_the_expression_bit_for_bit(self, rate):
+        v, g, p = self.arrays(seed=72)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_v = 0.5 * v + rate * g
+            want_p = p + want_v
+            vel, params, grad = v.copy(), p.copy(), g.copy()
+            momentum_step([params], [vel], [grad], 0.5, rate)
+        assert vel.tobytes() == want_v.tobytes()
+        assert params.tobytes() == want_p.tobytes()
+        assert grad.tobytes() == (rate * g).tobytes()  # overwritten
+
+
 def reference_splitmix(z):
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -443,6 +483,26 @@ class TestRngStream:
         c1 = s.child(1).uniform01(5)
         assert not np.array_equal(c0, c1)
         assert np.array_equal(c0, RngStream(seed=11).child(0).uniform01(5))
+
+    @pytest.mark.parametrize("n, rows", [(11, 5), (1, 3), (0, 4), (7, 0),
+                                         (4097, 3)])
+    def test_permutation_rows_equal_successive_permutations(self, n, rows):
+        stream = RngStream(seed=4, counter=9)
+        chunk = stream.permutation(n, rows)
+        assert chunk.shape == (rows, n)
+        assert stream.counter == 9 + rows * n
+        successive = RngStream(seed=4, counter=9)
+        for row in chunk:
+            assert row.tobytes() == successive.permutation(n).tobytes()
+        assert successive.counter == stream.counter
+
+    @pytest.mark.parametrize("n, rows", [(-3, -2), (3, -2), (-3, 0), (2.5, 2),
+                                         (3, 1.0)])
+    def test_permutation_rows_rejects_bad_counts(self, n, rows):
+        stream = RngStream(seed=1, counter=5)
+        with pytest.raises(ValueError):
+            stream.permutation(n, rows)
+        assert stream.counter == 5
 
     def test_permutation_is_a_permutation(self):
         perm = RngStream(seed=21).permutation(50)

@@ -238,6 +238,17 @@ class TestRoc:
         with pytest.raises(ValueError):
             roc(np.array([0.1, 0.5]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.5, 0.9], [1, 0]),  # too few labels
+        ([0.1, 0.5], [1, 0, 1, 0]),  # too many labels
+        ([0.1, 0.5, 0.9], [1, 0, 2]),  # a label that is neither 0 nor 1
+        ([0.1, 0.5, 0.9], [1.0, 0.0, np.nan]),
+        ([0.1, 0.5, 0.9, 0.3], [[1, 0], [0, 1]]),  # another shape
+    ])
+    def test_bad_labels_rejected(self, scores, labels):
+        with pytest.raises(ValueError, match="label"):
+            roc(np.array(scores), np.array(labels))
+
     def test_non_finite_scores_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):

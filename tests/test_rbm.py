@@ -171,6 +171,21 @@ class TestEnergyGaussian:
         layer = self.gaussian_layer(seed=1)
         assert energy_gaussian(layer.b, np.zeros(2), layer) == 0.0
 
+    @pytest.mark.parametrize("v, h", [(np.zeros(4), np.zeros(2)),
+                                      (np.zeros(3), np.zeros(3)),
+                                      (np.zeros((1, 3)), np.zeros(2))])
+    def test_shape_mismatch_rejected(self, v, h):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            energy_gaussian(v, h, self.gaussian_layer(seed=2))
+
+    def test_each_energy_rejects_the_other_unit_kind(self):
+        gaussian = self.gaussian_layer(seed=2)
+        with pytest.raises(ValueError, match="energy_bernoulli needs a bernoulli"):
+            energy_bernoulli(np.zeros(3), np.zeros(2), gaussian)
+        bernoulli = random_layer(RngStream(seed=13), 3, 2)
+        with pytest.raises(ValueError, match="energy_gaussian needs a gaussian"):
+            energy_gaussian(np.zeros(3), np.zeros(2), bernoulli)
+
     def test_invalid_sigma_rejected(self):
         layer = self.gaussian_layer(seed=2)
         layer.sigma = np.array([1.0, -1.0, 1.0])
@@ -357,6 +372,17 @@ class TestApplyFilters:
         layer = random_layer(RngStream(seed=34), 16, 3)
         with pytest.raises(ValueError):
             apply_filters(np.zeros((4, 4)), layer)
+
+    def test_filtered_layer_without_image_shape_rejected(self):
+        layer = filtered_layer(RngStream(seed=35), shape=(4, 4), k=2)
+        layer.image_shape = None
+        with pytest.raises(ValueError, match="image_shape"):
+            apply_filters(np.zeros((4, 4)), layer)
+
+    def test_image_of_another_shape_rejected(self):
+        layer = filtered_layer(RngStream(seed=36), shape=(4, 4), k=2)
+        with pytest.raises(ValueError, match="image shape"):
+            apply_filters(np.zeros((2, 8)), layer)
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +772,10 @@ class TestCdTrain:
                           for g, f in zip(fgrads, layer.filters)]
             return value, dW, da, fgrads
 
-        def reference_step(param, vel, grad, momentum, rate):
-            vel[...] = momentum * vel + rate * grad
-            param += vel
+        def reference_step(params, velocities, grads, momentum, rate):
+            for param, vel, grad in zip(params, velocities, grads):
+                vel[...] = momentum * vel + rate * grad
+                param += vel
 
         stream = RngStream(seed=67)
         layer = init_layer(16, 5, stream, unit_kind=unit_kind,
@@ -764,7 +791,7 @@ class TestCdTrain:
         for name, reference in (("_cd_terms", reference_cd_terms),
                                 ("_contractive_terms", reference_contractive_terms),
                                 ("_regularized_terms", reference_regularized_terms),
-                                ("_momentum_step", reference_step)):
+                                ("momentum_step", reference_step)):
             monkeypatch.setattr(rbm_module, name, reference)
         want, want_history = cd_train(layer, data, cfg)
         assert history == want_history

@@ -862,6 +862,20 @@ class TestManifest:
         write_manifest(path, self.pairs())
         assert read_manifest(path) == self.pairs()
 
+    def test_round_trip_quotes_commas_quotes_and_line_breaks(self, tmp_path):
+        pairs = [KinPair("a,1.pgm", 'b "2".pgm', "kin", "FS", "f0\np", "f0\r\nc"),
+                 KinPair("c.pgm", "d.pgm", "nonkin", "MD", "", "f2_d")]
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, pairs)
+        assert read_manifest(path) == pairs
+
+    def test_plain_fields_are_written_unquoted(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, self.pairs())
+        assert path.read_text() == (
+            "path_a,path_b,label,relation,subject_a,subject_b\n"
+            "a.pgm,b.pgm,kin,FS,f0_p,f0_c\nc.pgm,d.pgm,nonkin,MD,f1_m,f2_d\n")
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a.pgm,b.pgm,kin,FS,x,y\n")
