@@ -42,12 +42,12 @@ from .kvrl import (
     train_pair_classifier,
 )
 from .storage import (
-    atomic_write_text,
     load_model,
     load_pgm,
     read_manifest,
     save_model,
     save_pgm,
+    write_csv,
     write_manifest,
 )
 from .synth import synth_kin
@@ -67,11 +67,8 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, str) else _fmt(c)
-                              for c in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, header, ([c if isinstance(c, str) else _fmt(c) for c in row]
+                             for row in rows))
 
 
 def _ensure_outdir(cfg):
@@ -224,11 +221,11 @@ def cmd_eval_kin(cfg):
             results = list(pool.map(_eval_fold, repeat(cfg), repeat(embeddings),
                                     *zip(*jobs)))
 
-    fold_rows, all_scores, all_truths, all_relations = [], [], [], []
+    fold_rows, hits, all_scores, all_truths, all_relations = [], [], [], [], []
     for fold_idx, (scores, truths, relations) in enumerate(results):
-        correct = sum(1 for s, t in zip(scores, truths)
-                      if (s >= 0.5) == (t == 1))
-        fold_rows.append((fold_idx, correct / len(scores)))
+        fold_hits = [(s >= 0.5) == (t == 1) for s, t in zip(scores, truths)]
+        fold_rows.append((fold_idx, sum(fold_hits) / len(scores)))
+        hits += fold_hits
         all_scores += scores
         all_truths += truths
         all_relations += relations
@@ -236,10 +233,8 @@ def cmd_eval_kin(cfg):
     mean_acc = float(np.mean([acc for _, acc in fold_rows]))
     rel_rows = []
     for rel in sorted(set(all_relations)):
-        idx = [i for i, r in enumerate(all_relations) if r == rel]
-        correct = sum(1 for i in idx
-                      if (all_scores[i] >= 0.5) == (all_truths[i] == 1))
-        rel_rows.append((rel, correct / len(idx), len(idx)))
+        rel_hits = [h for h, r in zip(hits, all_relations) if r == rel]
+        rel_rows.append((rel, sum(rel_hits) / len(rel_hits), len(rel_hits)))
     curve = roc(all_scores, all_truths)
 
     _write_csv(os.path.join(out, "folds.csv"), ("fold", "accuracy"), fold_rows)

@@ -1,8 +1,9 @@
 """Deterministic numeric primitives shared by every other module.
 
 Everything here is pure: dense float64 arrays in and out, plus the JSON
-scalar type check. The random stream is counter-based so that a (seed,
-counter) pair fully determines the draw sequence on any platform.
+scalar type check and ``ModelStateError``, which the model modules raise
+for a part used before it is trained. The random stream is counter-based,
+so a (seed, counter) pair fully determines the draws on any platform.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ import numpy as np
 
 # Upper clamp keeps sigmoid strictly below 1.0 in float64.
 _SIGMOID_CEIL = 1.0 - 2.0 ** -53
+
+
+class ModelStateError(RuntimeError):
+    """Raised when a model is used before the needed parts are trained."""
 
 
 def sigmoid(x):
@@ -74,11 +79,22 @@ def check_kernel(shape, within=None):
         raise ValueError(f"kernel {shape} larger than image {within}")
 
 
-def _pad_stack(stack, cp, cq):
+def _tap_windows(stack, kernel_shape):
+    """(rows, cols, windows): the images zero-padded to (rows, cols) frames
+    end to end in one flat buffer with a zero tail, and each tap (p, q, w).
+    Tap (p, q)'s window w is the n * rows * cols values from offset
+    (2cp - p) * cols + 2cq - q: padded pixel (i, r + 2cp - p, c + 2cq - q)
+    sits at (i, r, c)."""
     n, h, w = stack.shape
-    padded = np.zeros((n, h + 2 * cp, w + 2 * cq))
-    padded[:, cp:cp + h, cq:cq + w] = stack
-    return padded
+    kr, kc = kernel_shape
+    cp, cq = kr // 2, kc // 2
+    rows, cols = h + 2 * cp, w + 2 * cq
+    size = n * rows * cols
+    # the tail keeps the largest tap offset inside the buffer
+    flat = np.zeros(size + 2 * cp * cols + 2 * cq)
+    flat[:size].reshape(n, rows, cols)[:, cp:cp + h, cq:cq + w] = stack
+    return rows, cols, [(p, q, flat[(2 * cp - p) * cols + 2 * cq - q:][:size])
+                        for p in range(kr) for q in range(kc)]
 
 
 def conv2d_same(image, kernel):
@@ -93,9 +109,9 @@ def conv2d_same(image, kernel):
     a stack is convolved on its own, with the same elementwise arithmetic
     as a single image, so the result is bit-identical to a per-image loop.
 
-    Each tap is one contiguous multiply-add over the flattened, zero-padded
-    stack, where a tap is a fixed offset; the padding columns get sums too
-    and are cropped at the end. Each output sums the same products, the
+    Each tap is one contiguous multiply-add of its ``_tap_windows``
+    window, the one padded buffer and tap rule the kernel gradient reads
+    too; the padding columns get sums as well and are cropped at the end. Each output sums the same products, the
     padding's included, in tap order from zero, so inf, NaN and -0.0 come
     out as in a tap-by-tap sum over the padded image. A cropped position's
     product (say an edge pixel's inf times a zero tap) can raise a numpy
@@ -104,20 +120,12 @@ def conv2d_same(image, kernel):
     kernel = np.asarray(kernel, dtype=np.float64)
     stack, batched = _as_stack(image, kernel.shape)
     n, h, w = stack.shape
-    kr, kc = kernel.shape
-    cp, cq = kr // 2, kc // 2
-    rows, cols = h + 2 * cp, w + 2 * cq
-    size = n * rows * cols
-    # the tail keeps the largest tap offset inside the buffer
-    flat = np.zeros(size + 2 * cp * cols + 2 * cq)
-    flat[:size].reshape(n, rows, cols)[:, cp:cp + h, cq:cq + w] = stack
-    acc = np.zeros(size)
-    prod = np.empty(size)
-    for p in range(kr):
-        for q in range(kc):
-            start = (2 * cp - p) * cols + 2 * cq - q
-            np.multiply(kernel[p, q], flat[start:start + size], out=prod)
-            acc += prod
+    rows, cols, windows = _tap_windows(stack, kernel.shape)
+    acc = np.zeros(n * rows * cols)
+    prod = np.empty_like(acc)
+    for p, q, window in windows:
+        np.multiply(kernel[p, q], window, out=prod)
+        acc += prod
     out = np.ascontiguousarray(acc.reshape(n, rows, cols)[:, :h, :w])
     return out if batched else out[0]
 
@@ -129,20 +137,18 @@ def conv2d_same_kernel_grad(image, upstream, kernel_shape):
     For an (N, h, w) stack the result is the sum of the N per-image
     gradients: each image's products are summed as one row, then the rows
     are accumulated in image order from zero. That is the same rounding as
-    a running total over per-image calls, bit for bit.
+    a running total over per-image calls, bit for bit. Tap (p, q) reads
+    the ``_tap_windows`` window that ``conv2d_same`` multiplies.
     """
     stack, batched = _as_stack(image, tuple(kernel_shape))
     upstream = np.asarray(upstream, dtype=np.float64).reshape(stack.shape)
     n, h, w = stack.shape
-    kr, kc = kernel_shape
-    cp, cq = kr // 2, kc // 2
-    padded = _pad_stack(stack, cp, cq)
-    sums = np.empty((kr, kc, n))
-    for p in range(kr):
-        for q in range(kc):
-            prod = upstream * padded[:, 2 * cp - p:2 * cp - p + h,
-                                     2 * cq - q:2 * cq - q + w]
-            sums[p, q] = prod.reshape(n, h * w).sum(axis=1)
+    rows, cols, windows = _tap_windows(stack, kernel_shape)
+    sums = np.empty((*kernel_shape, n))
+    for p, q, window in windows:
+        # a fresh product, so each image's row sums as it alone would
+        prod = upstream * window.reshape(n, rows, cols)[:, :h, :w]
+        sums[p, q] = prod.reshape(n, h * w).sum(axis=1)
     if not batched:
         return sums[:, :, 0]
     # cumsum adds strictly left to right; + 0.0 maps a -0.0 total to the

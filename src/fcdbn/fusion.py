@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream
-from .kvrl import ModelStateError
+from .core import ModelStateError, RngStream
 
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = np.log(DENSITY_FLOOR)
@@ -82,7 +81,8 @@ class GaussianMixture:
         return len(self.loglik_history)
 
     def validate(self):
-        """Check component arrays and ranges; raises ValueError."""
+        """Check component arrays and ranges; raises ValueError. Weights
+        must sum to 1 within 1e-9: fitted ones stray by about 1e-15."""
         if not (self.weights.ndim == 1 and self.weights.size and
                 self.weights.shape == self.means.shape == self.variances.shape):
             raise ValueError("mixture needs equal-length 1-D component arrays")
@@ -91,6 +91,8 @@ class GaussianMixture:
             raise ValueError("mixture weights, means and variances must be finite")
         if (self.variances <= 0).any() or (self.weights < 0).any():
             raise ValueError("mixture variances must be > 0 and weights >= 0")
+        if not abs(self.weights.sum() - 1.0) <= 1e-9:
+            raise ValueError(f"mixture weights sum to {self.weights.sum()}, not 1")
 
 
 def _log_joint(x, weights, means, variances):
@@ -106,10 +108,6 @@ def gmm_logpdf(model, x):
     """log density under the mixture, stable for far-out points."""
     out = _log_joint(x, model.weights, model.means, model.variances)[1]
     return out if np.ndim(x) else float(out[0])
-
-
-def gmm_pdf(model, x):
-    return np.exp(gmm_logpdf(model, x))
 
 
 def check_mixture_size(k, n):
@@ -221,12 +219,17 @@ class SvmModel:
     margin: float = 0.0
 
     def validate(self):
-        """Check array shapes and that b and margin are finite; raises ValueError."""
+        """Check array shapes, that b and margin are finite, feat_std > 0
+        and majority is -1 or 1; raises ValueError."""
         if self.w.ndim != 1 or not (
                 self.w.shape == self.feat_mean.shape == self.feat_std.shape):
             raise ValueError("svm w, feat_mean and feat_std differ in shape")
         if not (math.isfinite(self.b) and math.isfinite(self.margin)):
             raise ValueError("svm b and margin must be finite")
+        if not (self.feat_std > 0).all():
+            raise ValueError("svm feat_std must be > 0")
+        if self.majority not in (-1, 1):
+            raise ValueError(f"svm majority must be -1 or 1, got {self.majority}")
 
 
 def svm_fit(scores):

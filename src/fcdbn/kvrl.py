@@ -17,7 +17,8 @@ once), pairs of codes become features in ``pair_features`` and scores in
 ``score_pairs``, and labeled code pairs become a classifier only in
 ``train_pair_classifier``; training and the CLI call these. ``RegionSet``
 is the one-face view that ``extract_regions`` returns and ``encode_face``
-and ``kin_score`` read.
+and ``kin_score`` read. It holds the three default crops only; extra
+regions are cut by ``cut_regions`` and encoded by ``encode_images``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .core import RngStream
+from .core import ModelStateError, RngStream
 from .deepnet import (
     DbnStack,
     FcOptions,
@@ -39,10 +40,6 @@ from .deepnet import (
     mlp_predict,
     mlp_train,
 )
-
-
-class ModelStateError(RuntimeError):
-    """Raised when a model is used before the needed parts are trained."""
 
 
 FACE_SIZE = 64  # side of every aligned face, in pixels
@@ -70,19 +67,16 @@ class RegionFractions:
 
 @dataclass
 class RegionSet:
-    """Standardized 32x32 crops derived from one aligned face."""
+    """The three default standardized crops of one aligned face."""
 
     face: np.ndarray
     t_region: np.ndarray
     not_t: np.ndarray
-    extras: dict = field(default_factory=dict)
 
     def get(self, name):
-        if name in DEFAULT_REGIONS:
-            return getattr(self, name)
-        if name in self.extras:
-            return self.extras[name]
-        raise KeyError(f"no region named {name!r}")
+        if name not in DEFAULT_REGIONS:
+            raise KeyError(f"no region named {name!r}")
+        return getattr(self, name)
 
 
 def _read_only(*arrays):
@@ -247,18 +241,10 @@ def cut_regions(images, fractions=None, size=REGION_SIZE, names=DEFAULT_REGIONS)
         yield crops
 
 
-def extract_regions(aligned_face, fractions=None, size=REGION_SIZE, extras=()):
-    """The RegionSet of one aligned face: row 0 of its one-image cut.
-
-    The three default crops are always cut; ``extras`` may name "binocular"
-    and/or "chin" to fill RegionSet.extras (default names in it are
-    ignored, so a model's region list can be passed as is).
-    """
-    names = tuple(dict.fromkeys(DEFAULT_REGIONS + tuple(extras)))
-    crops = next(cut_regions([aligned_face], fractions, size, names))
-    return RegionSet(*(crops[name][0] for name in DEFAULT_REGIONS),
-                     extras={name: crops[name][0]
-                             for name in names[len(DEFAULT_REGIONS):]})
+def extract_regions(aligned_face, fractions=None, size=REGION_SIZE):
+    """The RegionSet of one aligned face: row 0 of its one-image cut."""
+    crops = next(cut_regions([aligned_face], fractions, size))
+    return RegionSet(*(crops[name][0] for name in DEFAULT_REGIONS))
 
 
 @dataclass

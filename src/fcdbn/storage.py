@@ -1,4 +1,4 @@
-"""File formats: binary PGM images, JSON model documents, manifest CSVs.
+"""File formats: binary PGM images, JSON model documents, CSVs.
 
 Everything is written atomically (a uniquely named temp file in the
 target's directory, then a rename) so failed commands never leave partial
@@ -400,14 +400,20 @@ class KinPair:
     subject_b: str
 
 
-def write_manifest(path, pairs):
-    """Write pairs atomically as CSV, quoting fields as read_manifest reads them."""
+def write_csv(path, header, rows):
+    """Write a header and rows atomically as CSV: lines end in "\n", and only
+    a field holding a comma, a quote or a line break is quoted."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(MANIFEST_COLUMNS)
-    writer.writerows([getattr(p, name) for name in MANIFEST_COLUMNS]
-                     for p in pairs)
+    writer.writerow(header)
+    writer.writerows(rows)
     atomic_write_text(path, text.getvalue())
+
+
+def write_manifest(path, pairs):
+    """Write pairs atomically as CSV, quoting fields as read_manifest reads them."""
+    write_csv(path, MANIFEST_COLUMNS,
+              ([getattr(p, name) for name in MANIFEST_COLUMNS] for p in pairs))
 
 
 def read_manifest(path):

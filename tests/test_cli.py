@@ -16,7 +16,8 @@ import fcdbn.cli
 import fcdbn.kvrl
 from fcdbn.cli import CliError, run_command
 from fcdbn.config import ConfigError, RunConfig, config_from_dict
-from fcdbn.kvrl import encode_face, extract_regions
+from fcdbn.deepnet import encode
+from fcdbn.kvrl import cut_regions
 from fcdbn.storage import load_model, load_pgm, read_manifest, save_model
 
 
@@ -70,6 +71,16 @@ def read_bytes_tree(root):
 
 
 class TestCliBasics:
+    def test_csv_bytes_are_the_comma_joined_fields(self, tmp_path):
+        # the layout every eval-kin, encode and fuse CSV has always had
+        rows = [(0, 0.75), ("FS", 1e-05, 12), (float("inf"), -0.0, 2.5e-300),
+                (float("nan"), 1.0 / 3.0)]
+        path = tmp_path / "t.csv"
+        fcdbn.cli._write_csv(path, ("a", "b"), rows)
+        joined = ["a,b"] + [",".join(c if isinstance(c, str) else repr(float(c))
+                                     for c in row) for row in rows]
+        assert path.read_text() == "\n".join(joined) + "\n"
+
     def test_unknown_command_exits_2(self, capsys):
         assert run_command(["frobnicate"]) == 2
 
@@ -343,9 +354,11 @@ class TestEndToEnd:
         )
         assert run_command(["encode", "--config", str(cfg2)]) == 0
         model = load_model(out / "model.json")
-        expected = encode_face(model, extract_regions(
-            load_pgm(image), model.fractions, model.region_size,
-            extras=("chin", "binocular")))
+        crops = next(cut_regions([load_pgm(image)], model.fractions,
+                                 model.region_size, model.regions))
+        expected = encode(model.stage2, np.hstack(
+            [encode(model.stage1[name], crops[name][0].ravel())
+             for name in model.regions]))
         row = (out / "encoding.csv").read_text().strip().split("\n")[1]
         assert np.array_equal([float(c) for c in row.split(",")], expected)
 

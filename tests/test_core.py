@@ -106,17 +106,42 @@ def conv_per_tap_reference(image, kernel):
     return out.reshape(image.shape)
 
 
+def kernel_grad_slice_reference(image, upstream, kernel_shape):
+    """conv2d_same_kernel_grad as one 3-D zero-padded copy sliced per tap:
+    each image's products summed as a row, rows totalled in image order."""
+    image = np.asarray(image, dtype=np.float64)
+    stack = image.reshape(-1, *image.shape[-2:])
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(stack.shape)
+    n, h, w = stack.shape
+    kr, kc = kernel_shape
+    cp, cq = kr // 2, kc // 2
+    padded = np.zeros((n, h + 2 * cp, w + 2 * cq))
+    padded[:, cp:cp + h, cq:cq + w] = stack
+    sums = np.empty((kr, kc, n))
+    for p in range(kr):
+        for q in range(kc):
+            prod = upstream * padded[:, 2 * cp - p:2 * cp - p + h,
+                                     2 * cq - q:2 * cq - q + w]
+            sums[p, q] = prod.reshape(n, h * w).sum(axis=1)
+    if image.ndim == 2:
+        return sums[:, :, 0]
+    return np.cumsum(sums, axis=2)[:, :, -1] + 0.0
+
+
 class TestConv2dReference:
-    """Contiguous tap passes give the per-tap sum's bits, specials included."""
+    """Contiguous tap passes give the per-tap sum's bits, and the kernel
+    gradient the padded-slice sum's, specials included."""
 
     @staticmethod
     def hostile_stack(n, seed):
-        """Every third image has +-inf, NaN and -0.0 pixels at a corner, an
-        edge and inside; image 1 is all -0.0, so its sums are signed zeros."""
+        """Every third image has +-inf, NaN, -0.0 and subnormal pixels at a
+        corner, an edge and inside; image 1 is all -0.0, so its sums are
+        signed zeros."""
         rng = np.random.default_rng(seed)
         stack = rng.normal(size=(n, 7, 9))
         specials = {(0, 0): np.inf, (6, 8): -np.inf, (3, 4): np.nan,
-                    (0, 5): -0.0, (6, 0): -0.0}
+                    (0, 5): -0.0, (6, 0): -0.0, (2, 2): 5e-324,
+                    (4, 7): -3e-310, (5, 1): 1e-320}
         for img in range(0, n, 3):
             for (r, c), value in specials.items():
                 stack[img, r, c] = value
@@ -124,7 +149,8 @@ class TestConv2dReference:
             stack[1] = -0.0
         return stack
 
-    @pytest.mark.parametrize("kernel_shape", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    @pytest.mark.parametrize("kernel_shape",
+                             [(1, 1), (3, 3), (5, 5), (3, 5), (1, 5)])
     @pytest.mark.parametrize("n", [1, 2, 17])
     def test_stack_equals_the_per_tap_sum(self, kernel_shape, n):
         stack = self.hostile_stack(n, seed=n)
@@ -136,14 +162,38 @@ class TestConv2dReference:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kernel_shape",
+                             [(1, 1), (3, 3), (5, 5), (3, 5), (1, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_stack_kernel_grad_equals_the_slice_sum(self, kernel_shape, n):
+        stack = self.hostile_stack(n, seed=n)
+        upstream = self.hostile_stack(n, seed=n + 40)[::-1]
+        # one NaN makes every total NaN, so the finite pixels (signed zeros
+        # and subnormals kept) are checked on their own as well
+        finite = [np.where(np.isfinite(a), a, 0.0) for a in (stack, upstream)]
+        for image, up in ((stack, upstream), finite):
+            with np.errstate(invalid="ignore"):
+                got = conv2d_same_kernel_grad(image, up, kernel_shape)
+                want = kernel_grad_slice_reference(image, up, kernel_shape)
+            assert got.shape == kernel_shape
+            assert got.tobytes() == want.tobytes()
+
     def test_2d_image_equals_the_per_tap_sum(self):
         image = self.hostile_stack(4, seed=5).reshape(28, 9)
+        upstream = self.hostile_stack(4, seed=6)[::-1].reshape(28, 9)
         kernel = np.random.default_rng(8).normal(size=(3, 5))
+        finite = [np.where(np.isfinite(a), a, 0.0) for a in (image, upstream)]
         with np.errstate(invalid="ignore"):
             got = conv2d_same(image, kernel)
             want = conv_per_tap_reference(image, kernel)
+            grads = [(conv2d_same_kernel_grad(img, up, shape),
+                      kernel_grad_slice_reference(img, up, shape))
+                     for img, up in ((image, upstream), finite)
+                     for shape in ((1, 1), (3, 3), (5, 5), (1, 5))]
         assert got.shape == (28, 9)
         assert got.tobytes() == want.tobytes()
+        for got, want in grads:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestConv2dStacks:

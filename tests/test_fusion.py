@@ -1,7 +1,12 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from fcdbn.core import RngStream
+import fcdbn.fusion
+import fcdbn.kvrl
+from fcdbn.core import ModelStateError, RngStream
 from fcdbn.evaluation import roc
 from fcdbn.fusion import (
     DENSITY_FLOOR,
@@ -13,7 +18,6 @@ from fcdbn.fusion import (
     fit_gmm,
     fit_plr_models,
     gmm_logpdf,
-    gmm_pdf,
     log_plr_scores,
     plr_scores,
     svm_decisions,
@@ -21,7 +25,6 @@ from fcdbn.fusion import (
     svm_fit,
     synth_scores,
 )
-from fcdbn.kvrl import ModelStateError
 
 
 def row(s, *k):
@@ -46,7 +49,7 @@ class TestFitGmm:
         model = fit_gmm(np.full(50, 2.5), 2, seed=0)
         assert np.all(np.isfinite(model.means))
         assert np.all(model.variances >= 1e-6)
-        assert np.all(np.isfinite(gmm_pdf(model, np.array([2.5]))))
+        assert np.all(np.isfinite(gmm_logpdf(model, np.array([2.5]))))
 
     def test_two_separated_clusters_recovered(self):
         stream = RngStream(seed=2)
@@ -125,6 +128,14 @@ class TestFitGmm:
         fields[name] = np.array([0.5, bad])
         with pytest.raises(ValueError, match="finite"):
             GaussianMixture(**fields).validate()
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [5.0, 7.0],
+                                         [0.5, 0.5 + 2e-9]])
+    def test_validate_rejects_weights_not_summing_to_one(self, weights):
+        fields = dict(means=np.array([0.0, 1.0]), variances=np.array([1.0, 2.0]))
+        GaussianMixture(weights=np.array([0.3, 0.7]), **fields).validate()
+        with pytest.raises(ValueError, match="sum to"):
+            GaussianMixture(weights=np.array(weights), **fields).validate()
 
     def test_single_component_converges(self):
         # the first M step lands on the sample moments, so the third
@@ -394,3 +405,12 @@ class TestArrayScoring:
                               svm_decisions(models.svm, s, k))
         with pytest.raises(ModelStateError):
             boost_decision(models, "plr", 0.0, s, k)
+
+    def test_fusion_imports_core_alone(self):
+        # ModelStateError lives in core, and kvrl's name for it is the same
+        # class, so fusion need not load the DBN stack
+        assert fcdbn.kvrl.ModelStateError is ModelStateError
+        tree = ast.parse(inspect.getsource(fcdbn.fusion))
+        local = {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level}
+        assert local == {"core"}

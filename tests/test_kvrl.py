@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ def reference_regions(aligned_face, fractions=None, size=32,
     return out
 
 
+def composed_code(model, crops):
+    """A face's code composed by hand from its named (size, size) crops."""
+    return encode(model.stage2, np.hstack(
+        [encode(model.stage1[name], crops[name].ravel())
+         for name in model.regions]))
+
+
 def tiny_config(seed=0, **overrides):
     base = dict(
         seed=seed, epochs=4, batch_size=16, learning_rate=0.05,
@@ -142,16 +151,26 @@ class TestExtractRegions:
         twice = standardize(resize_bilinear(once, 32, 32))
         assert np.max(np.abs(once - twice)) < 1e-12
 
-    def test_extras_available_on_request(self):
+    def test_extra_crops_cut_on_request(self):
         img = RngStream(seed=2).uniform01(64 * 64).reshape(64, 64)
-        regions = extract_regions(img, extras=("binocular", "chin"))
-        assert set(regions.extras) == {"binocular", "chin"}
-        for crop in regions.extras.values():
-            assert crop.shape == (32, 32)
+        crops = next(cut_regions([img], names=("binocular", "chin")))
+        assert list(crops) == ["binocular", "chin"]
+        for crop in crops.values():
+            assert crop.shape == (1, 32, 32)
 
-    def test_unknown_extra_rejected(self):
+    def test_unknown_region_rejected(self):
         with pytest.raises(ValueError):
-            extract_regions(np.zeros((64, 64)), extras=("nose_only",))
+            next(cut_regions([np.zeros((64, 64))], names=("nose_only",)))
+
+    def test_region_set_serves_the_default_names_only(self):
+        img = RngStream(seed=16).uniform01(64 * 64).reshape(64, 64)
+        regions = extract_regions(img)
+        assert [f.name for f in fields(RegionSet)] == list(DEFAULT_REGIONS)
+        for name in DEFAULT_REGIONS:
+            assert regions.get(name) is getattr(regions, name)
+        for name in EXTRA_REGIONS + ("nose_only",):
+            with pytest.raises(KeyError):
+                regions.get(name)
 
     def test_mask_geometry(self):
         mask = t_mask((64, 64), RegionFractions())
@@ -236,28 +255,23 @@ class TestCutRegions:
                 a[(0,) * a.ndim] = 1
         img = RngStream(seed=20).uniform01(64 * 64).reshape(64, 64)
         for _ in range(2):  # the second cut reads the cached plans
-            regions = extract_regions(img, fractions, extras=("chin",))
+            crops = next(cut_regions([img], fractions, 32, names))
             ref = reference_regions(img, fractions, extras=("chin",))
             for name, crop in ref.items():
-                assert np.array_equal(regions.get(name), crop)
-
-    def test_default_names_in_extras_are_ignored(self):
-        img = RngStream(seed=16).uniform01(64 * 64).reshape(64, 64)
-        regions = extract_regions(img, extras=("face", "chin", "not_t"))
-        assert list(regions.extras) == ["chin"]
+                assert np.array_equal(crops[name][0], crop)
 
     @pytest.mark.parametrize("field", ["eye_rows", "nose_rows", "chin_rows"])
     def test_top_edge_range_cuts_the_last_row(self, field):
         img = RngStream(seed=17).uniform01(64 * 64).reshape(64, 64)
         fractions = RegionFractions(**{field: (0.995, 1.0)})
         assert _span((0.995, 1.0), 64) == (63, 64)
-        regions = extract_regions(img, fractions, extras=("binocular", "chin"))
+        crops = next(cut_regions([img], fractions, 32, ALL_REGIONS))
         ref = reference_regions(img, fractions)
         for name, crop in ref.items():
-            assert np.array_equal(regions.get(name), crop)
+            assert np.array_equal(crops[name][0], crop)
         if field == "chin_rows":
-            last = standardize(resize_bilinear(img[None, 63:], 32, 32))[0]
-            assert np.array_equal(regions.extras["chin"], last)
+            last = standardize(resize_bilinear(img[None, 63:], 32, 32))
+            assert np.array_equal(crops["chin"], last)
 
 
 class TestEncodeFace:
@@ -292,13 +306,19 @@ class TestEncodeImages:
         stream = RngStream(seed=12)
         corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(6)]
         model = pretrain_stages(corpus, tiny_config(epochs=1, regions=regions))
-        extras = tuple(r for r in regions if r in ("chin", "binocular"))
         codes = encode_images(model, corpus)
         assert codes.shape == (6, 8)
         for row, img in zip(codes, corpus):
-            expected = encode_face(model, extract_regions(
-                img, model.fractions, model.region_size, extras=extras))
-            assert np.array_equal(row, expected)
+            crops = next(cut_regions([img], model.fractions, model.region_size,
+                                     model.regions))
+            assert np.array_equal(row, composed_code(
+                model, {name: crop[0] for name, crop in crops.items()}))
+            one_face = extract_regions(img, model.fractions, model.region_size)
+            if regions == DEFAULT_REGIONS:
+                assert np.array_equal(row, encode_face(model, one_face))
+            else:  # a RegionSet holds no extra crops
+                with pytest.raises(KeyError):
+                    encode_face(model, one_face)
 
     def test_rows_over_several_blocks_equal_encode_face(self):
         stream = RngStream(seed=18)
@@ -311,10 +331,7 @@ class TestEncodeImages:
         assert codes.shape == (n, 8)
         for row, img in zip(codes, images):
             ref = reference_regions(img, extras=("chin",))
-            expected = encode_face(model, RegionSet(
-                face=ref["face"], t_region=ref["t_region"],
-                not_t=ref["not_t"], extras={"chin": ref["chin"]}))
-            assert np.array_equal(row, expected)
+            assert np.array_equal(row, composed_code(model, ref))
 
     def test_each_distinct_image_encoded_once(self, monkeypatch):
         stream = RngStream(seed=13)

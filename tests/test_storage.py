@@ -1,4 +1,5 @@
 import base64
+import csv
 import errno
 import io
 import json
@@ -37,6 +38,7 @@ from fcdbn.storage import (
     read_manifest,
     save_model,
     save_pgm,
+    write_csv,
     write_manifest,
 )
 
@@ -495,17 +497,26 @@ class TestModelFormat:
             variances=storage._arr([0.0, 1.0]))),
         ("plr", lambda p: p["s_impostor"].update(
             weights=storage._arr([-0.5, 1.5]))),
+        ("plr", lambda p: p["s_genuine"].update(
+            weights=storage._arr([0.0, 0.0]))),
+        ("plr", lambda p: p["s_genuine"].update(
+            weights=storage._arr([5.0, 7.0]))),
         ("svm", lambda p: p.update(b=np.nan)),
         ("svm", lambda p: p.update(margin=np.inf)),
         ("svm", lambda p: p.update(w=storage._arr(np.zeros(5)))),
+        ("svm", lambda p: p.update(feat_std=storage._arr([0.0, 1.0]))),
+        ("svm", lambda p: p.update(feat_std=storage._arr([-1.0, 1.0]))),
+        ("svm", lambda p: p.update(degenerate=True, majority=7)),
         ("plr", lambda p: p["k_kin"].update(
             weights=storage._arr([]), means=storage._arr([]),
             variances=storage._arr([]))),
         ("kvrl", lambda p: p["stage2"].update(layers=[])),
     ], ids=["dropout-above-1", "nan-dropout", "negative-dropout",
             "missing-bias", "negative-variance", "zero-variance",
-            "negative-weight", "nan-svm-b", "inf-svm-margin",
-            "svm-shape-mismatch", "empty-mixture", "empty-stack"])
+            "negative-weight", "zero-weight-sum", "weights-sum-above-1",
+            "nan-svm-b", "inf-svm-margin", "svm-shape-mismatch",
+            "zero-feat-std", "negative-feat-std", "majority-7",
+            "empty-mixture", "empty-stack"])
     def test_out_of_range_value_rejected(self, tmp_path, model, mutate):
         assert_fails_closed(tmp_path, model, mutate)
 
@@ -875,6 +886,16 @@ class TestManifest:
         assert path.read_text() == (
             "path_a,path_b,label,relation,subject_a,subject_b\n"
             "a.pgm,b.pgm,kin,FS,f0_p,f0_c\nc.pgm,d.pgm,nonkin,MD,f1_m,f2_d\n")
+
+    def test_write_csv_quotes_only_fields_that_need_it(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [["a,b", 'say "hi"', "two\nlines"], ["0.5", "-1e-05", "nan"]]
+        write_csv(path, ("x", "y", "z"), rows + [[0.25, -0.0, float("inf")]])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["x", "y", "z"], *rows,
+                                            ["0.25", "-0.0", "inf"]]
+        assert path.read_text().endswith(
+            '"two\nlines"\n0.5,-1e-05,nan\n0.25,-0.0,inf\n')
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
