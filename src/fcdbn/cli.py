@@ -35,6 +35,7 @@ from .evaluation import (
 )
 from .fusion import fit_fusion, fused_scores, synth_scores
 from .kvrl import (
+    KvrlModel,
     encode_images,
     pretrain_stages,
     score_pairs,
@@ -71,6 +72,11 @@ def _write_csv(path, header, rows):
                              for row in rows))
 
 
+def _write_roc(path, curve):
+    _write_csv(path, ("fpr", "tpr", "threshold"),
+               list(zip(curve.fpr, curve.tpr, curve.thresholds)))
+
+
 def _ensure_outdir(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
@@ -86,6 +92,13 @@ def _load_pair_images(cfg, pairs):
 
     return [(image(p.path_a), image(p.path_b), 1 if p.label == "kin" else 0)
             for p in pairs], image
+
+
+def _load_kvrl_model(path):
+    model = load_model(path)
+    if not isinstance(model, KvrlModel):
+        raise CliError(f"{path}: a {type(model).__name__}, not a KvrlModel", 3)
+    return model
 
 
 def _load_corpus(cfg):
@@ -141,12 +154,15 @@ def cmd_train_kin(cfg):
     return 0
 
 
-def _eval_fold(cfg, embeddings, fold_idx, train_pos, test_pos):
-    """Retrain the pair classifier on one fold and score the held-out fold.
+def _eval_fold(cfg, embeddings, folds, fold_idx):
+    """Retrain the pair classifier on the other folds, score fold_idx.
 
-    ``embeddings`` maps every image path of the positive pairs to its face
-    code; folds only read it.
+    ``folds`` holds each fold's positive pairs, and ``embeddings`` maps
+    every image path of them to its face code; folds only read it.
     """
+    test_pos = folds[fold_idx]
+    train_pos = [p for j, fold in enumerate(folds) if j != fold_idx
+                 for p in fold]
     fold_seed = cfg.seed + fold_idx
     train_neg = gen_negatives(train_pos, seed=fold_seed)
     test_neg = gen_negatives(test_pos, seed=fold_seed + 5000)
@@ -189,26 +205,21 @@ def cmd_eval_kin(cfg):
     out = _ensure_outdir(cfg)
     if not cfg.manifest or not cfg.images_dir or not cfg.model_in:
         raise CliError("config needs manifest, images_dir, model_in", 2)
-    model = load_model(cfg.model_in)
+    model = _load_kvrl_model(cfg.model_in)
     pairs = read_manifest(cfg.manifest)
     positives = [p for p in pairs if p.label == "kin"]
     plan = make_folds(positives, seed=cfg.seed)
     _, image = _load_pair_images(cfg, pairs)
     # negatives are drawn from the positives' images, so this covers every
-    # image a fold scores; encode_images encodes each distinct one once
+    # image a fold scores; image() gives one object, encoded once, per path
     paths = [path for p in positives for path in (p.path_a, p.path_b)]
     codes = encode_images(model, [image(path) for path in paths])
     embeddings = dict(zip(paths, codes))
 
-    jobs = []
-    for fold_idx in range(len(plan.folds)):
-        test_pos = plan.folds[fold_idx]
-        train_pos = [p for j, fold in enumerate(plan.folds) if j != fold_idx
-                     for p in fold]
-        jobs.append((fold_idx, train_pos, test_pos))
-
+    args = (_eval_fold, repeat(cfg), repeat(embeddings), repeat(plan.folds),
+            range(len(plan.folds)))
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [_eval_fold(cfg, embeddings, *job) for job in jobs]
+        results = list(map(*args))
     else:
         # the heads are small numpy calls that hold the GIL, so they run in
         # processes; fork inherits the loaded modules instead of importing
@@ -216,10 +227,9 @@ def cmd_eval_kin(cfg):
         # the child (CPython 3.12+ still warns when a threaded process
         # forks). Leaving the block joins every worker.
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)),
+                max_workers=min(workers, len(plan.folds)),
                 mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_eval_fold, repeat(cfg), repeat(embeddings),
-                                    *zip(*jobs)))
+            results = list(pool.map(*args))
 
     fold_rows, hits, all_scores, all_truths, all_relations = [], [], [], [], []
     for fold_idx, (scores, truths, relations) in enumerate(results):
@@ -240,8 +250,7 @@ def cmd_eval_kin(cfg):
     _write_csv(os.path.join(out, "folds.csv"), ("fold", "accuracy"), fold_rows)
     _write_csv(os.path.join(out, "relations.csv"),
                ("relation", "accuracy", "pairs"), rel_rows)
-    _write_csv(os.path.join(out, "roc.csv"), ("fpr", "tpr", "threshold"),
-               list(zip(curve.fpr, curve.tpr, curve.thresholds)))
+    _write_roc(os.path.join(out, "roc.csv"), curve)
     print(f"eval-kin: mean accuracy {mean_acc:.4f} over {len(fold_rows)} folds, "
           f"auc {curve.auc:.4f}")
     for rel, acc, count in rel_rows:
@@ -253,7 +262,7 @@ def cmd_encode(cfg):
     out = _ensure_outdir(cfg)
     if not cfg.model_in or not cfg.image:
         raise CliError("config needs model_in and image", 2)
-    model = load_model(cfg.model_in)
+    model = _load_kvrl_model(cfg.model_in)
     code = encode_images(model, [load_pgm(cfg.image)])[0]
     path = os.path.join(out, "encoding.csv")
     _write_csv(path, tuple(f"f{i}" for i in range(len(code))), [tuple(code)])
@@ -274,9 +283,7 @@ def cmd_fuse(cfg):
     for method in methods:
         curves[method] = roc(fused_scores(models, method, s, k), labels)
     for name, curve in curves.items():
-        _write_csv(os.path.join(out, f"roc_{name}.csv"),
-                   ("fpr", "tpr", "threshold"),
-                   list(zip(curve.fpr, curve.tpr, curve.thresholds)))
+        _write_roc(os.path.join(out, f"roc_{name}.csv"), curve)
         tprs = " ".join(f"tpr@{t}={curve.tpr_at_fpr[t]:.4f}"
                         for t in sorted(curve.tpr_at_fpr))
         print(f"fuse[{name}]: auc {curve.auc:.4f} {tprs}")
@@ -291,11 +298,15 @@ def _read_counts_csv(path):
     rows = []
     for i, (lineno, ln) in enumerate(lines):
         try:
-            rows.append([int(c.strip()) for c in ln.split(",")])
+            rows.append([int(c) for c in ln.split(",")])
         except ValueError:
-            if i > 0:
-                raise ValueError(f"counts line {lineno} is not integer counts: "
-                                 f"{ln[:40]!r} ({path})") from None
+            try:  # a first line is a header if one of its fields is no number
+                [float(c) for c in ln.split(",")]
+            except ValueError:
+                if i == 0:
+                    continue
+            raise ValueError(f"counts line {lineno} is not integer counts: "
+                             f"{ln[:40]!r} ({path})") from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"counts file must hold a 2x2 integer table: {path}")
     counts = ConfusionCounts(np.array(rows, dtype=float))

@@ -14,7 +14,7 @@ from .deepnet import check_dropout
 from .fusion import check_mixture_size
 from .kvrl import DEFAULT_REGIONS, REGION_SIZE, RegionFractions, check_regions
 from .rbm import TrainConfig, check_regularizers
-from .synth import check_corpus_settings
+from .synth import check_corpus_settings, check_pair_pool
 
 
 class ConfigError(ValueError):
@@ -136,6 +136,8 @@ class RunConfig:
                 self._relay((key, "members_per_family", "separability"),
                             check_corpus_settings, getattr(self, key),
                             self.members_per_family, self.separability)
+            self._relay(("families", "members_per_family"), check_pair_pool,
+                        self.families, self.members_per_family)
             # RngStream keeps 64 seed bits; 2**63 leaves room for derived seeds
             if not 0 <= self.seed < 2 ** 63:
                 raise ValueError(f"seed: must be in [0, 2**63), got {self.seed}")

@@ -299,12 +299,8 @@ class RngStream:
         """n draws in {0.0, 1.0} with P(1) = p; advances the counter by n."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli p must be in [0, 1], got {p}")
-        n, first = self._advance(n, 1)
-        out = np.empty(n)
-        for words, o, _ in self._blocks(first, out, 1):
-            np.multiply(words[:len(o)], _U53, out=o)
-            np.copyto(o, o < p)
-        return out
+        out = self.uniform01(n)
+        return np.less(out, p, out=out)
 
     def permutation(self, n, rows=None):
         """Deterministic random permutation of range(n); advances by n. With

@@ -176,18 +176,13 @@ def fit_plr_models(scores, n_components=2, seed=0):
     )
 
 
-def log_plr_scores(models, s, k, diag=None):
+def log_plr_scores(models, s, k):
     """log PLR per row: face log-ratio plus one kin log-ratio per k column.
 
-    Densities are floored at 1e-300 so the ratio never divides by zero;
-    floor hits are counted in ``diag`` when a dict is passed.
+    Densities are floored at 1e-300 so the ratio never divides by zero.
     """
     def floored(model, x):
-        log = gmm_logpdf(model, x)
-        hits = log < _LOG_FLOOR
-        if diag is not None and hits.any():
-            diag["floor_hits"] = diag.get("floor_hits", 0) + int(hits.sum())
-        return np.where(hits, _LOG_FLOOR, log)
+        return np.maximum(gmm_logpdf(model, x), _LOG_FLOOR)
 
     total = floored(models.s_genuine, s) - floored(models.s_impostor, s)
     for column in k.T:
@@ -196,9 +191,9 @@ def log_plr_scores(models, s, k, diag=None):
     return total
 
 
-def plr_scores(models, s, k, diag=None):
+def plr_scores(models, s, k):
     """Product of likelihood ratios per row, > 0 and capped to stay finite."""
-    return np.exp(np.minimum(log_plr_scores(models, s, k, diag), 700.0))
+    return np.exp(np.minimum(log_plr_scores(models, s, k), 700.0))
 
 
 def svm_feature_rows(s, k):

@@ -12,7 +12,7 @@ time from a crop table built once per geometry, and ``_encode_crops`` turns
 them into codes with one ``encode`` call per stack. A face's code does not
 depend on its block, bit for bit. Region geometry is checked only in
 ``check_regions``, which config validation and ``KvrlModel.validate`` call.
-Images become codes in ``encode_images`` (each distinct image encoded
+Images become codes in ``encode_images`` (each image object encoded
 once), pairs of codes become features in ``pair_features`` and scores in
 ``score_pairs``, and labeled code pairs become a classifier only in
 ``train_pair_classifier``; training and the CLI call these. ``RegionSet``
@@ -23,7 +23,6 @@ regions are cut by ``cut_regions`` and encoded by ``encode_images``.
 from __future__ import annotations
 
 import functools
-import zlib
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -310,30 +309,19 @@ def encode_images(model, images):
     """Codes for aligned faces, one row per image: shape (N, d).
 
     Regions are cut with the model's own fractions, size and regions. This
-    is where each distinct image (same dtype, shape and bytes) is encoded
-    once; repeats get a copy of its row, in input order. The distinct
-    images are cut and encoded a block at a time, each block one ``encode``
-    per stack. A row equals ``encode_face`` of its image bit for bit,
-    whatever the block; no images give a (0, d) array.
+    is where each image object is encoded once; a repeated object gets a
+    copy of its row, in input order. The distinct objects are cut and
+    encoded a block at a time, each block one ``encode`` per stack. A row
+    equals ``encode_face`` of its image bit for bit, whatever the block, so
+    equal copies get equal rows; no images give a (0, d) array.
     """
-    index, distinct, rows = {}, [], []
-    for img in images:
-        img = np.ascontiguousarray(img)
-        # a CRC-32 keys the index without a copy of the image; a match is
-        # confirmed on the stored image's bytes, so a collision cannot
-        # merge two images
-        same = index.setdefault(
-            (img.dtype.str, img.shape, zlib.crc32(img)), [])
-        row = next((i for i in same if np.array_equal(
-            distinct[i].view(np.uint8), img.view(np.uint8))), None)
-        if row is None:
-            row = len(distinct)
-            same.append(row)
-            distinct.append(img)
-        rows.append(row)
+    images = list(images)  # held for the whole call, so no id is reused
+    distinct = list({id(img): img for img in images}.values())  # first seen
+    row = {id(img): i for i, img in enumerate(distinct)}
     codes = [_encode_crops(model, crops) for crops in cut_regions(
         distinct, model.fractions, model.region_size, model.regions)]
-    return np.vstack([np.empty((0, model.stage2.layer_dims[-1]))] + codes)[rows]
+    return np.vstack([np.empty((0, model.stage2.layer_dims[-1]))]
+                     + codes)[[row[id(img)] for img in images]]
 
 
 def pair_features(codes_a, codes_b):

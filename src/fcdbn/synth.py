@@ -66,6 +66,13 @@ def check_corpus_settings(families, members_per_family, separability):
         raise ValueError(f"separability must be in [0, 1], got {separability}")
 
 
+def check_pair_pool(families, members_per_family):
+    """Raise ValueError unless a ``synth_kin`` manifest has kin rows (two
+    members per family) and nonkin rows (two families) to train on."""
+    if min(families, members_per_family) < 2:
+        raise ValueError("families and members_per_family must be >= 2")
+
+
 def synth_kin(seed, families, members_per_family, separability):
     """Generate a family-structured corpus plus its pair manifest.
 

@@ -17,6 +17,7 @@ import fcdbn.kvrl
 from fcdbn.cli import CliError, run_command
 from fcdbn.config import ConfigError, RunConfig, config_from_dict
 from fcdbn.deepnet import encode
+from fcdbn.fusion import fit_plr_models, svm_fit, synth_scores
 from fcdbn.kvrl import cut_regions
 from fcdbn.storage import load_model, load_pgm, read_manifest, save_model
 
@@ -130,6 +131,8 @@ class TestCliBasics:
         ("alpha", -1.0), ("beta", -1.0), ("gmm_components", 0),
         ("n_impostor", 3), ("families", 0), ("corpus_families", 0),
         ("members_per_family", 0), ("separability", 2.0),
+        # a pair pool needs kin rows and nonkin rows
+        ("families", 1), ("members_per_family", 1),
         # rules of RunConfig.validate itself name their one key
         ("learning_rate", -1.0), ("classifier_learning_rate", -1),
         ("epochs", 0), ("stage1_dims", [1024]), ("stage2_dims", [1536]),
@@ -150,6 +153,14 @@ class TestCliBasics:
         assert err.startswith("config error: ")
         named = err[len("config error: "):].split(": ")[0].split(", ")
         assert key in named
+
+    def test_corpus_of_one_family_is_accepted(self, tmp_path):
+        # the corpus needs no pairs, so only the pair pool needs two families
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", corpus_families=1,
+                           output_dir=str(out))
+        assert run_command(["synth", "--config", str(cfg)]) == 0
+        assert len(list((out / "corpus").glob("*.pgm"))) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=4))
@@ -219,6 +230,24 @@ class TestMetricsCommand:
         cfg = write_config(tmp_path / "c.json", counts_csv=str(counts))
         assert run_command(["metrics", "--config", str(cfg)]) == 3
         assert f"counts line {lineno} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first", ["1.5,2", "1e3,2", "-0.5, 7"])
+    def test_numeric_first_line_is_no_header_exit_3(self, tmp_path, capsys,
+                                                     first):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"{first}\n84,16\n16,84\n")
+        cfg = write_config(tmp_path / "c.json", counts_csv=str(counts))
+        assert run_command(["metrics", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert "counts line 1 " in captured.err
+        assert captured.out == ""
+
+    def test_first_line_with_one_word_is_a_header(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("kin,2\n84,16\n16,84\n")
+        cfg = write_config(tmp_path / "c.json", counts_csv=str(counts))
+        assert run_command(["metrics", "--config", str(cfg)]) == 0
+        assert "hit_rate=0.840000 fa_rate=0.160000" in capsys.readouterr().out
 
     def test_missing_counts_path_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -317,6 +346,29 @@ class TestEndToEnd:
         rows = (out / "encoding.csv").read_text().strip().split("\n")
         assert len(rows) == 2
         assert len(rows[1].split(",")) == 8
+
+    @pytest.mark.parametrize("kind", ["PlrModels", "SvmModel"])
+    @pytest.mark.parametrize("command", ["encode", "eval-kin"])
+    def test_fusion_model_as_model_in_exits_3(self, tmp_path, capsys, kind,
+                                              command):
+        data = tmp_path / "data"
+        assert run_command(["synth", "--config", str(write_config(
+            tmp_path / "s.json", output_dir=str(data)))]) == 0
+        scores = synth_scores(0, 40, 40)
+        model_path = tmp_path / "fusion.json"
+        save_model(fit_plr_models(scores) if kind == "PlrModels"
+                   else svm_fit(scores), model_path)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out),
+                           manifest=str(data / "manifest.csv"),
+                           images_dir=str(data / "images"),
+                           image=str(data / "images" / "fam000_m0.pgm"),
+                           model_in=str(model_path))
+        capsys.readouterr()
+        assert run_command([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {model_path}: a {kind}, not a KvrlModel\n"
+        assert list(out.iterdir()) == []
 
     def test_filter_wider_than_region_exits_2(self, tmp_path):
         out = tmp_path / "run"

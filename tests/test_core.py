@@ -499,6 +499,14 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(seed=1).bernoulli(5, -0.1)
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_bad_bernoulli_p_leaves_the_counter(self, p):
+        s = RngStream(seed=1)
+        s.uniform01(3)
+        with pytest.raises(ValueError):
+            s.bernoulli(5, p)
+        assert s.counter == 3
+
     def test_uniform_mean_law_of_large_numbers(self):
         draws = RngStream(seed=99).uniform01(100_000)
         assert abs(draws.mean() - 0.5) < 0.01

@@ -195,10 +195,10 @@ class TestPlr:
 
     def test_always_positive_with_floor(self):
         models = self.reference_models()
-        diag = {}
-        score = plr_scores(models, *row(-60.0, 55.0), diag)[0]
-        assert score > 0.0
-        assert diag.get("floor_hits", 0) >= 1
+        s, k = row(-60.0, 55.0)
+        # the face density at -60 is below the floor, so the floor is hit
+        assert gmm_logpdf(models.s_genuine, s)[0] < np.log(1e-300)
+        assert plr_scores(models, s, k)[0] > 0.0
 
     def test_fit_plr_models_separates_classes(self):
         scores = synth_scores(0, 300, 300, face_shift=2.0, kin_shift=2.0)
@@ -333,16 +333,13 @@ class TestArrayScoring:
         assert np.array_equal(svm_decisions(svm, s, k),
                               [reference_svm(svm, *r) for r in zip(s, k)])
 
-    def test_floor_hits_counted_per_value(self):
+    def test_batched_log_plr_equals_per_row(self):
+        # far-out rows, where the density floor is hit, and one near row
         models = TestPlr().reference_models()
         s, k = np.array([-60.0, 0.1, 40.0]), np.array([[55.0], [0.2], [-50.0]])
-        per_row = {}
-        for i in range(s.size):
-            log_plr_scores(models, s[i:i + 1], k[i:i + 1], per_row)
-        batched = {}
-        log_plr_scores(models, s, k, batched)
-        assert batched == per_row
-        assert batched["floor_hits"] >= 2
+        per_row = np.concatenate([log_plr_scores(models, s[i:i + 1], k[i:i + 1])
+                                  for i in range(s.size)])
+        assert log_plr_scores(models, s, k).tobytes() == per_row.tobytes()
 
     @pytest.mark.parametrize("fields", [
         dict(s=[0.1, 0.3], k=[[0.2], [0.4], [0.5]], label=[1, 0]),

@@ -333,7 +333,7 @@ class TestEncodeImages:
             ref = reference_regions(img, extras=("chin",))
             assert np.array_equal(row, composed_code(model, ref))
 
-    def test_each_distinct_image_encoded_once(self, monkeypatch):
+    def test_each_image_object_encoded_once(self, monkeypatch):
         stream = RngStream(seed=13)
         corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(4)]
         model = pretrain_stages(corpus, tiny_config(epochs=1))
@@ -350,15 +350,12 @@ class TestEncodeImages:
                              for img in images])
         monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
         codes = encode_images(model, images)
-        # three distinct float64 images, plus the float32 copy of corpus[0]:
-        # its dtype and bytes differ, so it is keyed as a fourth image
-        assert len(rows) == 4
+        # corpus[2] and corpus[0] repeat as objects; the .copy() and the
+        # float32 copy are objects of their own, so each is encoded
+        assert len(rows) == 5
         assert np.array_equal(codes, expected)
 
-    @pytest.mark.parametrize("collide", [False, True],
-                             ids=["crc32", "every-checksum-equal"])
-    def test_repeats_share_a_row_and_a_changed_pixel_does_not(
-            self, monkeypatch, collide):
+    def test_repeats_share_a_row_and_copies_do_not(self, monkeypatch):
         stream = RngStream(seed=14)
         corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(3)]
         model = pretrain_stages(corpus, tiny_config(epochs=1))
@@ -372,16 +369,37 @@ class TestEncodeImages:
             faces.extend(crops["face"])
             return real(m, crops)
 
-        images = [img, img.copy(), changed, np.asfortranarray(img), img]
+        images = [img, img.copy(), changed, np.asfortranarray(img), img,
+                  img.astype(np.float32)]
         expected = np.stack([encode_face(model, extract_regions(i))
                              for i in images])
         monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
-        if collide:  # only the byte check tells the images apart
-            monkeypatch.setattr(fcdbn.kvrl.zlib, "crc32", lambda data: 0)
         codes = encode_images(model, images)
-        # img and its copies share one row, the one-ulp change gets its own
-        assert len(faces) == 2
+        # img is encoded once for its two places; the C-order, Fortran-order
+        # and float32 copies and the one-ulp change are encoded each
+        assert len(faces) == 5
         assert np.array_equal(codes, expected)
+        assert np.array_equal(codes[1], codes[0])
+        assert np.array_equal(codes[3], codes[0])
+
+    def test_a_generator_of_fresh_copies_encodes_each_copy(self, monkeypatch):
+        stream = RngStream(seed=15)
+        corpus = [stream.uniform01(64 * 64).reshape(64, 64) for _ in range(3)]
+        model = pretrain_stages(corpus, tiny_config(epochs=1))
+        faces = []
+        real = fcdbn.kvrl._encode_crops
+
+        def counting(m, crops):
+            faces.extend(crops["face"])
+            return real(m, crops)
+
+        monkeypatch.setattr(fcdbn.kvrl, "_encode_crops", counting)
+        # the generator drops each copy once it is drawn, so its id could go
+        # to the next copy if encode_images did not hold every image
+        codes = encode_images(model, (corpus[1].copy() for _ in range(5)))
+        assert len(faces) == 5 and codes.shape == (5, 8)
+        expected = encode_face(model, extract_regions(corpus[1]))
+        assert all(np.array_equal(row, expected) for row in codes)
 
     def test_no_images_give_no_rows(self):
         codes = encode_images(zero_model(), [])
