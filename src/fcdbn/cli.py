@@ -131,9 +131,9 @@ def cmd_synth(cfg):
 
 
 def cmd_pretrain(cfg):
-    out = _ensure_outdir(cfg)
     corpus = _load_corpus(cfg)
     model = pretrain_stages(corpus, cfg)
+    out = _ensure_outdir(cfg)
     path = cfg.model_out or os.path.join(out, "model.json")
     save_model(model, path)
     print(f"pretrain: stages trained on {len(corpus)} images -> {path}")
@@ -141,13 +141,13 @@ def cmd_pretrain(cfg):
 
 
 def cmd_train_kin(cfg):
-    out = _ensure_outdir(cfg)
     if not cfg.manifest or not cfg.images_dir:
         raise CliError("config needs manifest and images_dir", 2)
     corpus = _load_corpus(cfg)
     pairs = read_manifest(cfg.manifest)
     pair_images, _ = _load_pair_images(cfg, pairs)
     model = train_kvrl(corpus, pair_images, cfg)
+    out = _ensure_outdir(cfg)
     path = cfg.model_out or os.path.join(out, "model.json")
     save_model(model, path)
     print(f"train-kin: {len(pair_images)} pairs -> {path}")
@@ -202,7 +202,6 @@ def _thread_count():
 
 def cmd_eval_kin(cfg):
     workers = _thread_count()
-    out = _ensure_outdir(cfg)
     if not cfg.manifest or not cfg.images_dir or not cfg.model_in:
         raise CliError("config needs manifest, images_dir, model_in", 2)
     model = _load_kvrl_model(cfg.model_in)
@@ -247,6 +246,7 @@ def cmd_eval_kin(cfg):
         rel_rows.append((rel, sum(rel_hits) / len(rel_hits), len(rel_hits)))
     curve = roc(all_scores, all_truths)
 
+    out = _ensure_outdir(cfg)
     _write_csv(os.path.join(out, "folds.csv"), ("fold", "accuracy"), fold_rows)
     _write_csv(os.path.join(out, "relations.csv"),
                ("relation", "accuracy", "pairs"), rel_rows)
@@ -259,12 +259,11 @@ def cmd_eval_kin(cfg):
 
 
 def cmd_encode(cfg):
-    out = _ensure_outdir(cfg)
     if not cfg.model_in or not cfg.image:
         raise CliError("config needs model_in and image", 2)
     model = _load_kvrl_model(cfg.model_in)
     code = encode_images(model, [load_pgm(cfg.image)])[0]
-    path = os.path.join(out, "encoding.csv")
+    path = os.path.join(_ensure_outdir(cfg), "encoding.csv")
     _write_csv(path, tuple(f"f{i}" for i in range(len(code))), [tuple(code)])
     print(f"encode: wrote {len(code)}-dim encoding -> {path}")
     return 0

@@ -8,9 +8,10 @@ A model document is JSON: format tag, version, kind, and a payload that is
 the model's saved dataclass fields by name. Each array is an object
 ``{"shape": [...], "f8": <base64 of little-endian float64>}``, which
 round-trips exactly; version 1 documents, with arrays as nested lists of
-decimals, still load. Saving streams the document: its small JSON skeleton
-as text, and each array's base64 a bounded chunk at a time from the array's
-own buffer, so no copy of the whole text is built (see ``save_model``).
+decimals, still load. Saving is one walk over the model that writes the
+document's text as it goes, each array's base64 a bounded chunk at a time
+from the array's own buffer, so no copy of the whole text, nor of any
+array's base64, is built (see ``save_model``).
 Loading fails closed (``ModelFormatError``): see ``load_model``,
 ``_from_doc``, ``_from_arr`` and each model class's ``validate``.
 """
@@ -24,7 +25,6 @@ import io
 import json
 import math
 import os
-import re
 import secrets
 from dataclasses import dataclass, fields, is_dataclass
 from types import UnionType
@@ -172,19 +172,8 @@ def _b64_chunks(a):
         yield binascii.b2a_base64(view[i:i + _CHUNK], newline=False)
 
 
-def _b64_text(a):
-    return b"".join(_b64_chunks(a)).decode("ascii")
-
-
-def _arr(a, f8=_b64_text):
-    """JSON form of an array: its shape, and ``f8`` of its C-contiguous
-    ``<f8`` form (by default the base64 text of its bytes)."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": f8(a)}
-
-
 def _from_arr(x, where):
-    """Decode an array saved by ``_arr``, or a version-1 nested list.
+    """Decode an array saved by ``save_model``, or a version-1 nested list.
 
     A value that is NaN, infinite or beyond +-MAX_STORED_ABS (M) raises
     ``ModelFormatError``. With sigma >= rbm.SIGMA_MIN (S) this keeps encoding
@@ -249,21 +238,6 @@ def _saved_fields(cls):
             if f.metadata.get("saved", True)}
 
 
-def _to_doc(value, arr):
-    """JSON form of a model value: a dataclass as an object of its saved
-    fields, an array through ``arr``, a tuple as a list."""
-    if is_dataclass(value):
-        return {name: _to_doc(getattr(value, name), arr)
-                for name in _saved_fields(type(value))}
-    if isinstance(value, np.ndarray):
-        return arr(value)
-    if isinstance(value, dict):
-        return {key: _to_doc(v, arr) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_doc(v, arr) for v in value]
-    return value
-
-
 def _from_doc(hint, node, where):
     """Rebuild a value of annotated type ``hint`` (dataclass, array, list,
     tuple, dict, ``T | None`` or a scalar type, checked by ``scalar_fits``)
@@ -305,45 +279,50 @@ def _object_from_doc(cls, node, where):
     return obj
 
 
+def _json_chunks(value):
+    """The bytes of ``json.dumps(value, sort_keys=True)`` for a model value,
+    a piece at a time: a dataclass as an object of its saved fields, a tuple
+    as a list, and an array as ``{"f8": ..., "shape": [...]}`` of its
+    C-contiguous ``<f8`` form, its base64 streamed by ``_b64_chunks``."""
+    if is_dataclass(value):
+        value = {name: getattr(value, name)
+                 for name in _saved_fields(type(value))}
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value, dtype="<f8")
+        yield b'{"f8": "'
+        yield from _b64_chunks(a)
+        yield f'", "shape": {json.dumps(list(a.shape))}}}'.encode()
+    elif isinstance(value, dict):
+        yield b"{"
+        for i, key in enumerate(sorted(value)):
+            yield f'{", " if i else ""}{json.dumps(key)}: '.encode()
+            yield from _json_chunks(value[key])
+        yield b"}"
+    elif isinstance(value, (list, tuple)):
+        yield b"["
+        for i, item in enumerate(value):
+            if i:
+                yield b", "
+            yield from _json_chunks(item)
+        yield b"]"
+    else:
+        yield json.dumps(value).encode()
+
+
 def save_model(model, path):
     """Serialize a KVRL, PLR, or SVM model to a JSON text document.
 
     The file is byte for byte ``json.dumps(doc, sort_keys=True)`` of the
-    document, but that text is never built. The skeleton is dumped with a
-    marker string, ``"<nonce>:<k>"``, in place of array k's base64; the
-    nonce is fresh random hex per save, so no string of the model can pass
-    for a marker. The file is then written through ``atomic_write_chunks``:
-    the skeleton's text, with each marker replaced by its array's base64 in
-    ``_CHUNK``-sized pieces. Every array must appear exactly once, or the
-    save raises ``RuntimeError`` and writes nothing.
+    document, but that text is never built: ``_json_chunks`` walks the
+    model once and ``atomic_write_chunks`` writes each piece as it comes,
+    each array's base64 in ``_CHUNK``-sized pieces read from its buffer.
     """
     kind = {cls: k for k, cls in _KINDS.items()}.get(type(model))
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    nonce, arrays = secrets.token_hex(16), []
-
-    def marker(a):
-        arrays.append(a)
-        return f"{nonce}:{len(arrays) - 1}"
-
-    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
-           "payload": _to_doc(model, functools.partial(_arr, f8=marker))}
-    # text, index, text, ..., index, text; each marker's quotes stay in
-    # the text around it
-    parts = re.split(f'(?<="){nonce}:([0-9]+)(?=")',
-                     json.dumps(doc, sort_keys=True))
-    order = [int(k) for k in parts[1::2]]
-    if sorted(order) != list(range(len(arrays))):
-        raise RuntimeError(f"{len(order)} array markers in the document "
-                           f"for {len(arrays)} arrays")
-
-    def chunks():
-        yield parts[0].encode("utf-8")
-        for k, text in zip(order, parts[2::2]):
-            yield from _b64_chunks(arrays[k])
-            yield text.encode("utf-8")
-
-    atomic_write_chunks(path, chunks())
+    atomic_write_chunks(path, _json_chunks(
+        {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
+         "payload": model}))
 
 
 def _read_json(path):

@@ -137,6 +137,8 @@ def make_kin_benchmark(seed, n_families, members_per_family, separability,
     plus an equal number of cross-family negatives, from disjoint family
     blocks (``TRAIN_FAMILY_FRAC`` of the families train). Test pairs are cut
     or padded toward ``n_test_pairs``. Entries are (array_a, array_b, label).
+    ``ValueError`` unless each block has two families and each family two
+    members, so that both blocks hold kin and nonkin pairs.
 
     Every rendered image gets i.i.d. N(0, ``PIXEL_NOISE``) sensor noise
     (clipped back to [0, 1]): family resemblance stays basis-structured
@@ -166,6 +168,8 @@ def make_kin_benchmark(seed, n_families, members_per_family, separability,
     fams = sorted(by_family)
     n_train = max(1, int(round(TRAIN_FAMILY_FRAC * len(fams))))
     train_fams, test_fams = fams[:n_train], fams[n_train:]
+    for block in (train_fams, test_fams):
+        check_pair_pool(len(block), members_per_family)
 
     stream = RngStream(seed=seed + 2)
 

@@ -189,6 +189,27 @@ class TestCliBasics:
         assert type(back) is CliError
         assert (str(back), back.code) == ("no folds", 3)
 
+    @pytest.mark.parametrize("command, keys, code, err", [
+        ("encode", {}, 2, "error: config needs model_in and image"),
+        ("encode", {"model_in": "missing.json", "image": "face.pgm"}, 3,
+         "runtime error: FileNotFoundError: "),
+        ("pretrain", {}, 2, "error: config needs corpus_dir"),
+        ("train-kin", {"images_dir": "images", "corpus_dir": "corpus"}, 2,
+         "error: config needs manifest and images_dir"),
+        ("eval-kin", {"manifest": "manifest.csv", "images_dir": "images"}, 2,
+         "error: config needs manifest, images_dir, model_in"),
+    ], ids=["encode-without-image", "encode-missing-model-file",
+            "pretrain-without-corpus", "train-kin-without-manifest",
+            "eval-kin-without-model"])
+    def test_failed_input_check_creates_no_output_dir(
+            self, tmp_path, monkeypatch, capsys, command, keys, code, err):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"output_dir": "made_by_failed_run", **keys}))
+        assert run_command([command, "--config", str(cfg)]) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert not (tmp_path / "made_by_failed_run").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"surprise": 1}))
@@ -368,7 +389,7 @@ class TestEndToEnd:
         assert run_command([command, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {model_path}: a {kind}, not a KvrlModel\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_filter_wider_than_region_exits_2(self, tmp_path):
         out = tmp_path / "run"

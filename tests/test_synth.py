@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fcdbn.evaluation import ztest_proportions
 from fcdbn.synth import make_kin_benchmark, synth_kin
@@ -106,3 +107,21 @@ class TestBenchmark:
             assert la == lb
             assert np.array_equal(ia, ja)
             assert np.array_equal(ib, jb)
+
+    @pytest.mark.parametrize("n_families, members", [(1, 4), (2, 4), (3, 4),
+                                                       (4, 1)])
+    def test_blocks_without_both_labels_rejected(self, n_families, members):
+        # 1, 2 or 3 families leave a block with one family or none: no
+        # nonkin pairs; one member per family gives no kin pairs
+        with pytest.raises(ValueError, match="must be >= 2"):
+            make_kin_benchmark(seed=0, n_families=n_families,
+                               members_per_family=members, separability=0.8,
+                               n_test_pairs=20)
+
+    def test_four_families_give_both_labels_in_both_blocks(self):
+        _, train_pairs, test_pairs = make_kin_benchmark(
+            seed=0, n_families=4, members_per_family=4, separability=0.8,
+            n_test_pairs=20)
+        assert len(test_pairs) == 20
+        for pairs in (train_pairs, test_pairs):
+            assert {label for _, _, label in pairs} == {0, 1}
