@@ -132,8 +132,8 @@ def cmd_synth(cfg):
 
 def cmd_pretrain(cfg):
     corpus = _load_corpus(cfg)
-    model = pretrain_stages(corpus, cfg)
     out = _ensure_outdir(cfg)
+    model = pretrain_stages(corpus, cfg)
     path = cfg.model_out or os.path.join(out, "model.json")
     save_model(model, path)
     print(f"pretrain: stages trained on {len(corpus)} images -> {path}")
@@ -146,8 +146,8 @@ def cmd_train_kin(cfg):
     corpus = _load_corpus(cfg)
     pairs = read_manifest(cfg.manifest)
     pair_images, _ = _load_pair_images(cfg, pairs)
-    model = train_kvrl(corpus, pair_images, cfg)
     out = _ensure_outdir(cfg)
+    model = train_kvrl(corpus, pair_images, cfg)
     path = cfg.model_out or os.path.join(out, "model.json")
     save_model(model, path)
     print(f"train-kin: {len(pair_images)} pairs -> {path}")
@@ -209,6 +209,7 @@ def cmd_eval_kin(cfg):
     positives = [p for p in pairs if p.label == "kin"]
     plan = make_folds(positives, seed=cfg.seed)
     _, image = _load_pair_images(cfg, pairs)
+    out = _ensure_outdir(cfg)
     # negatives are drawn from the positives' images, so this covers every
     # image a fold scores; image() gives one object, encoded once, per path
     paths = [path for p in positives for path in (p.path_a, p.path_b)]
@@ -246,7 +247,6 @@ def cmd_eval_kin(cfg):
         rel_rows.append((rel, sum(rel_hits) / len(rel_hits), len(rel_hits)))
     curve = roc(all_scores, all_truths)
 
-    out = _ensure_outdir(cfg)
     _write_csv(os.path.join(out, "folds.csv"), ("fold", "accuracy"), fold_rows)
     _write_csv(os.path.join(out, "relations.csv"),
                ("relation", "accuracy", "pairs"), rel_rows)

@@ -155,7 +155,7 @@ class RunConfig:
             raise ValueError(f"{', '.join(changed or keys)}: {exc}") from exc
 
     def region_fractions(self):
-        return RegionFractions(**{f.name: tuple(getattr(self, f.name))
+        return RegionFractions(**{f.name: getattr(self, f.name)
                                   for f in fields(RegionFractions)})
 
     def rbm_config(self, seed_offset=0):

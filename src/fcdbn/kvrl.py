@@ -23,7 +23,7 @@ regions are cut by ``cut_regions`` and encoded by ``encode_images``.
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,14 +54,19 @@ _STD_FLOOR = 1e-8
 _BLOCK = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionFractions:
-    """Fractional rectangles defining the T mask and the extra crops."""
+    """Fractional rectangles of the T mask and the extra crops. Frozen, so equal
+    fractions share one crop table; each field is a tuple (ints stay ints)."""
 
     eye_rows: tuple[float, ...] = (0.25, 0.45)
     nose_rows: tuple[float, ...] = (0.25, 0.75)
     nose_cols: tuple[float, ...] = (0.35, 0.65)
     chin_rows: tuple[float, ...] = (0.65, 1.0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
 
 @dataclass
@@ -180,21 +185,15 @@ def check_regions(regions, fractions, size, widths):
                              f"must equal region_size^2={size ** 2}")
 
 
+@functools.lru_cache(maxsize=32)
 def _crop_table(fractions, names):
-    """((name, fill, rows, cols), ...) for the crops ``names``, in order.
+    """((name, fill, rows, cols), ...) for the crop tuple ``names``, in order.
 
     Pixels under ``fill`` (None: none) take the image mean, then the
     ``rows`` x ``cols`` window is cut. The T crop keeps only mask pixels
     inside the mask's bounding box; not-T blanks the mask. Built once per
     geometry (fractions and names, by value); the masks are read-only.
     """
-    return _cached_crop_table(tuple(map(tuple, astuple(fractions))),
-                              tuple(names))
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_crop_table(fractions, names):
-    fractions = RegionFractions(*fractions)
     mask = t_mask((FACE_SIZE, FACE_SIZE), fractions)
     outside = ~mask
     _read_only(mask, outside)
@@ -215,17 +214,19 @@ def _cached_crop_table(fractions, names):
     return tuple((name, *table[name]) for name in names)
 
 
-def cut_regions(images, fractions=None, size=REGION_SIZE, names=DEFAULT_REGIONS):
+def cut_regions(images, fractions=RegionFractions(), size=REGION_SIZE,
+                names=DEFAULT_REGIONS):
     """Yield the crops of each block of ``_BLOCK`` aligned faces, in order.
 
     ``images`` is a sequence of aligned faces or one (N, FACE_SIZE, FACE_SIZE)
     array. Each block gives one dict mapping every region in ``names`` (and
     only those) to an (n, size, size) stack, one crop per image of the
     block; every crop is resized to size x size and standardized. The crop
-    table is built once per geometry. A crop depends only on its own image,
-    so neither the block nor the other names change any of its bits.
+    table is built once per geometry (``fractions`` None: the default). A
+    crop depends only on its own image, so neither the block nor the other
+    names change any of its bits.
     """
-    table = _crop_table(fractions or RegionFractions(), names)
+    table = _crop_table(fractions or RegionFractions(), tuple(names))
     for start in range(0, len(images), _BLOCK):
         block = np.asarray(images[start:start + _BLOCK], dtype=np.float64)
         if block.shape[1:] != (FACE_SIZE, FACE_SIZE):
@@ -240,7 +241,7 @@ def cut_regions(images, fractions=None, size=REGION_SIZE, names=DEFAULT_REGIONS)
         yield crops
 
 
-def extract_regions(aligned_face, fractions=None, size=REGION_SIZE):
+def extract_regions(aligned_face, fractions=RegionFractions(), size=REGION_SIZE):
     """The RegionSet of one aligned face: row 0 of its one-image cut."""
     crops = next(cut_regions([aligned_face], fractions, size))
     return RegionSet(*(crops[name][0] for name in DEFAULT_REGIONS))
@@ -254,7 +255,7 @@ class KvrlModel:
     stage2: DbnStack
     classifier: MlpModel | None = None
     regions: tuple[str, ...] = DEFAULT_REGIONS
-    fractions: RegionFractions = field(default_factory=RegionFractions)
+    fractions: RegionFractions = RegionFractions()
     region_size: int = REGION_SIZE
 
     def validate(self):

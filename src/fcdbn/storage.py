@@ -78,10 +78,6 @@ def atomic_write_bytes(path, payload):
     atomic_write_chunks(path, (payload,))
 
 
-def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 # --- PGM (P5, 8-bit) --------------------------------------------------------
 
 def _next_token(data, pos):
@@ -386,7 +382,7 @@ def write_csv(path, header, rows):
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, text.getvalue())
+    atomic_write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 def write_manifest(path, pairs):

@@ -391,6 +391,40 @@ class TestEndToEnd:
         assert err == f"error: {model_path}: a {kind}, not a KvrlModel\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, work", [
+        ("pretrain", "pretrain_stages"), ("train-kin", "train_kvrl"),
+        ("eval-kin", "encode_images")])
+    @pytest.mark.parametrize("where", ["file", "under-file", "empty"])
+    def test_unusable_output_dir_fails_before_the_work(
+            self, tmp_path, monkeypatch, capsys, command, work, where):
+        data = tmp_path / "data"
+        inputs = dict(manifest=str(data / "manifest.csv"),
+                      images_dir=str(data / "images"),
+                      corpus_dir=str(data / "corpus"),
+                      model_in=str(data / "model.json"))
+        cfg = write_config(tmp_path / "s.json", output_dir=str(data), **inputs)
+        assert run_command(["synth", "--config", str(cfg)]) == 0
+        if command == "eval-kin":
+            assert run_command(["pretrain", "--config", str(cfg)]) == 0
+
+        def reached(*args):
+            raise AssertionError(f"{work} reached")
+
+        monkeypatch.setattr(fcdbn.cli, work, reached)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"file": blocker, "under-file": blocker / "sub" / "dir",
+               "empty": ""}[where]
+        with pytest.raises(OSError) as late:  # what creating it would raise
+            os.makedirs(out, exist_ok=True)
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out), **inputs)
+        before = read_bytes_tree(tmp_path)
+        capsys.readouterr()
+        assert run_command([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"runtime error: {type(late.value).__name__}: {late.value}\n")
+        assert read_bytes_tree(tmp_path) == before
+
     def test_filter_wider_than_region_exits_2(self, tmp_path):
         out = tmp_path / "run"
         common = dict(output_dir=str(out), manifest=str(out / "manifest.csv"),

@@ -1,4 +1,5 @@
-from dataclasses import fields
+import json
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from fcdbn.kvrl import (
     train_kvrl,
 )
 from fcdbn.rbm import RbmLayer
+from fcdbn.storage import load_model, save_model
 from fcdbn.synth import make_kin_benchmark
 
 
@@ -238,6 +240,8 @@ class TestCutRegions:
                 [c[name] for c in from_array]))
             for img, crop in zip(images, listed):
                 assert np.array_equal(crop, extract_regions(img).get(name))
+                # an explicit None cuts the default geometry too
+                assert np.array_equal(crop, extract_regions(img, None).get(name))
 
     def test_cached_cut_plans_are_read_only(self):
         fractions = RegionFractions(eye_rows=(0.2, 0.5), chin_rows=(0.6, 1.0))
@@ -245,7 +249,7 @@ class TestCutRegions:
         table = fcdbn.kvrl._crop_table(fractions, names)
         # equal fractions and names give the same table, built once
         assert fcdbn.kvrl._crop_table(RegionFractions(
-            eye_rows=[0.2, 0.5], chin_rows=(0.6, 1.0)), list(names)) is table
+            eye_rows=[0.2, 0.5], chin_rows=(0.6, 1.0)), names) is table
         assert [name for name, *_ in table] == list(names)
         plan = fcdbn.kvrl._resize_plan(14, 64, 32, 32)
         arrays = [fill for _, fill, _, _ in table if fill is not None]
@@ -259,6 +263,42 @@ class TestCutRegions:
             ref = reference_regions(img, fractions, extras=("chin",))
             for name, crop in ref.items():
                 assert np.array_equal(crops[name][0], crop)
+
+    def test_equal_geometries_share_one_crop_table(self, tmp_path):
+        table = fcdbn.kvrl._crop_table(RunConfig().region_fractions(),
+                                       DEFAULT_REGIONS)
+        # a model document may hold JSON ints, such as chin_rows [0.65, 1]
+        model = zero_model()
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["payload"]["fractions"]["chin_rows"] = [0.65, 1]
+        (tmp_path / "ints.json").write_text(json.dumps(doc, sort_keys=True))
+        loaded = load_model(tmp_path / "ints.json").fractions
+        assert loaded.chin_rows == (0.65, 1)
+        assert type(loaded.chin_rows[1]) is int
+        listed = RegionFractions(eye_rows=[0.25, 0.45], nose_rows=[0.25, 0.75],
+                                 nose_cols=[0.35, 0.65], chin_rows=[0.65, 1.0])
+        assert listed.eye_rows == (0.25, 0.45)
+        for fractions in (loaded, listed, model.fractions):
+            assert fcdbn.kvrl._crop_table(fractions, DEFAULT_REGIONS) is table
+        with pytest.raises(FrozenInstanceError):
+            loaded.chin_rows = (0.6, 1.0)
+        # a re-saved model keeps the ints, byte for byte
+        save_model(load_model(tmp_path / "ints.json"), tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "ints.json").read_bytes())
+        save_model(load_model(tmp_path / "m.json"), tmp_path / "m2.json")
+        assert (tmp_path / "m2.json").read_bytes() == (
+            tmp_path / "m.json").read_bytes()
+
+    def test_names_given_as_a_list_cut_as_a_tuple(self):
+        images = self.images()
+        names = ["chin", "face"]
+        for listed, given in zip(cut_regions(images, names=names),
+                                 cut_regions(images, names=tuple(names))):
+            assert list(listed) == names
+            for name in names:
+                assert np.array_equal(listed[name], given[name])
 
     @pytest.mark.parametrize("field", ["eye_rows", "nose_rows", "chin_rows"])
     def test_top_edge_range_cuts_the_last_row(self, field):
